@@ -108,10 +108,12 @@ class RecursionContext:
         planar embedding keeps the bundle consecutive around the
         coordinator, which we decide by oracle-testing the modified
         graph (the paper's full version guarantees this by construction;
-        see DESIGN.md §3).  The oracle is scoped to the biconnected
-        components containing the copy whenever the evolving graph is
-        already known planar (:class:`ScopedPlanarityOracle`); with
-        ``REPRO_REFERENCE_PATHS=1`` every test runs on the full graph.
+        see DESIGN.md §3).  Once the evolving graph is known planar, the
+        oracle (:class:`ScopedPlanarityOracle`) answers from a planar
+        rotation it keeps in step with every split, subdivisions
+        included, and otherwise tests only the biconnected components
+        containing the copy; with ``REPRO_REFERENCE_PATHS=1`` every test
+        runs on the full graph.
 
         On success the modification is kept so later splits are tested
         against the up-to-date network.  On rejection the graph is
@@ -137,13 +139,15 @@ class RecursionContext:
         g.add_edge(copy, coordinator)
         if len(rerouted) == 1:
             # Edge subdivision: planarity-invariant, always kept.
+            if self.oracle is not None:
+                self.oracle.note_subdivision(copy, coordinator, rerouted[0])
             self.mutation_epoch += 1
             if self.split_log is not None:
                 self.split_log.append((copy, coordinator, tuple(rerouted), True))
             return True
         self.split_tests += 1
         if self.oracle is not None:
-            ok = self.oracle.check_rerouted(copy)
+            ok = self.oracle.check_rerouted(copy, coordinator, rerouted)
         else:
             from ..planar.lr_planarity import lr_planarity
 

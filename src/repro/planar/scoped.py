@@ -1,43 +1,57 @@
-"""Scoped planarity oracle for locally-modified planar graphs.
+"""Planarity oracle for locally-modified planar graphs.
 
 ``RecursionContext.try_split`` repeatedly asks "is the evolving network
 still planar?" after rerouting one edge bundle at a coordinator through
 a fresh copy vertex.  Testing the whole graph every time is wasteful:
-work should be proportional to the region touched, not the network.
+work should be proportional to the change, not the network.  Each query
+is settled by the first of three tiers that applies.
 
-The scoping argument (Observation 3.2 — biconnected components meet
-only in cut vertices, so a graph is planar iff every block is planar):
-every edge the reroute *adds* is incident to the copy vertex, hence any
-block not containing the copy consists solely of pre-modification edges
-and is a subgraph of the pre-modification graph.  If that graph was
-already known planar, those blocks are planar for free, and the modified
-graph is planar **iff** the union of blocks containing the copy is
-planar.  That union equals the subgraph induced by their vertices (an
-edge between two such blocks' vertices would biconnect them), so one
-left-right decision test on the induced region settles the verdict.
+1. **Full test.**  Until some verdict has proven the evolving graph
+   planar (the ``known_planar`` invariant), the oracle runs a
+   decision-only left-right (LR) test of the whole graph — exactly what
+   the reference path does — and establishes the invariant on a planar
+   verdict.
 
-:class:`ScopedPlanarityOracle` tracks the "known planar" invariant:
+2. **Witness.**  Once the invariant holds, the oracle keeps a planar
+   rotation of the graph (a locally checkable proof of planarity) and
+   answers from it.  If the rerouted darts are cyclically consecutive in
+   the coordinator's ring, the reroute is a vertex split of that ring:
+   the copy takes the bundle's interval and each bundle endpoint swaps
+   the coordinator for the copy.  The split rotation is a planar
+   embedding of the modified graph, so the answer is "planar", proven,
+   in O(deg) time.  The rotation is built lazily: a query that finds
+   none embeds the whole modified graph once with the LR kernel, whose
+   verdict answers it (exactly — the pre-modification graph is known
+   planar).  Single-edge subdivisions, which ``try_split`` keeps
+   untested, are applied to the rotation too (:meth:`note_subdivision`).
 
-* While it does not hold (e.g. the input graph was never tested), the
-  oracle falls back to a full-graph test — exactly what the reference
-  path does — and establishes the invariant on a planar verdict.
-* Once it holds, each query runs one lowpoint DFS to collect the blocks
-  at the copy plus one scoped LR test, and memoizes the verdict keyed
-  by the *canonicalized* affected region (copy vertices carry a fresh
-  serial, so they are renamed to a fixed token; isomorphic regions give
-  identical verdicts).
-* A rejected split is restored exactly by the caller, so the invariant
-  survives rejections; an accepted split was just proven planar.
+3. **Block-scoped LR test.**  Every other query — a bundle that is not
+   consecutive in the current rotation — falls back to the scoping
+   argument of Observation 3.2: biconnected components meet only in
+   cut vertices, so a graph is planar iff every block is planar.  Every
+   edge the reroute *adds* is incident to the copy vertex, hence any
+   block not containing the copy is a subgraph of the known-planar
+   pre-modification graph, and the modified graph is planar **iff** the
+   union of blocks containing the copy is planar.  That union equals
+   the subgraph induced by their vertices (an edge between two such
+   blocks' vertices would biconnect them), so one lowpoint DFS collects
+   it and one LR test on it settles the verdict.  Verdicts are memoized
+   by the region's edge set, with the copy renamed to a fixed token
+   (copies carry a fresh serial, so a retried reroute of the same
+   bundle hits).  An accepted fallback drops the rotation, which no
+   longer matches the graph, and the next query rebuilds it; a rejected
+   one keeps it, because the caller restores the graph exactly.
 
 Verdicts are therefore always identical to full-graph testing — the
-differential suite in ``tests/core`` proves it end to end — while the
-per-query cost drops from LR-on-``G`` to DFS-plus-LR-on-a-block.
+differential suite in ``tests/integration`` proves it end to end —
+while the common query costs one ring scan instead of a whole-graph LR
+test.
 """
 
 from __future__ import annotations
 
 from .graph import Graph, NodeId
-from .lr_planarity import lr_is_planar
+from .lr_planarity import lr_is_planar, lr_planarity
 
 __all__ = ["ScopedPlanarityOracle"]
 
@@ -48,15 +62,17 @@ _COPY_TOKEN = ("copy-region",)
 
 
 class ScopedPlanarityOracle:
-    """Block-scoped planarity decisions for one evolving graph.
+    """Witness-backed, block-scoped planarity decisions for one evolving
+    graph.
 
-    All state — counters, ``known_planar``, and the region-verdict memo
-    — is **per instance**, never module-global, so it is per-process by
-    construction: shard workers build a fresh oracle over their decoded
-    graph snapshot and the parent regenerates authoritative counters and
-    memo contents by replaying the worker's split journal (see
-    :mod:`repro.shard.dispatch`).  Keep it that way: a process-global
-    memo here would silently leak parent state into forked workers.
+    All state — counters, ``known_planar``, the rotation and the
+    region-verdict memo — is **per instance**, never module-global, so
+    it is per-process by construction: shard workers build a fresh
+    oracle over their decoded graph snapshot and the parent regenerates
+    authoritative counters, rotation and memo contents by replaying the
+    worker's split journal (see :mod:`repro.shard.dispatch`).  Keep it
+    that way: a process-global memo here would silently leak parent
+    state into forked workers.
     """
 
     MEMO_MAX_ENTRIES = 4096
@@ -68,19 +84,23 @@ class ScopedPlanarityOracle:
         self.scoped_tests = 0
         self.memo_hits = 0
         self._memo: dict[frozenset, bool] = {}
+        # A planar rotation of ``graph`` (vertex -> clockwise neighbor
+        # tuple), or None until the next scoped query builds one.
+        self.rotation: dict[NodeId, tuple[NodeId, ...]] | None = None
 
     def snapshot_state(self) -> tuple:
         """The oracle's full mutable state, for exact rollback."""
         return (
             self.known_planar, self.full_tests, self.scoped_tests,
-            self.memo_hits, dict(self._memo),
+            self.memo_hits, dict(self._memo), _copy(self.rotation),
         )
 
     def restore_state(self, state: tuple) -> None:
         """Inverse of :meth:`snapshot_state` (in place)."""
         (self.known_planar, self.full_tests, self.scoped_tests,
-         self.memo_hits, memo) = state
+         self.memo_hits, memo, rotation) = state
         self._memo = dict(memo)
+        self.rotation = _copy(rotation)
 
     def stats(self) -> dict[str, int]:
         return {
@@ -89,13 +109,22 @@ class ScopedPlanarityOracle:
             "memo_hits": self.memo_hits,
         }
 
-    def check_rerouted(self, copy: NodeId) -> bool:
-        """Planarity of the graph, given that every modification since
-        the last established verdict is incident to ``copy``.
+    def note_subdivision(self, copy: NodeId, coordinator: NodeId, u: NodeId) -> None:
+        """Keep the rotation in step with an untested subdivision of the
+        edge ``{u, coordinator}`` by ``copy``."""
+        if self.rotation is not None:
+            _split_vertex(self.rotation, copy, coordinator, (u,))
+
+    def check_rerouted(
+        self, copy: NodeId, coordinator: NodeId, rerouted: list[NodeId]
+    ) -> bool:
+        """Planarity of the graph after the edges from ``coordinator`` to
+        ``rerouted`` were moved onto ``copy`` and ``copy`` was joined to
+        ``coordinator`` — the only modification since the last verdict.
 
         On a ``False`` verdict the caller must restore the graph exactly
         (``try_split`` does); the pre-modification graph was planar, so
-        the invariant survives.
+        the invariant and the rotation survive.
         """
         if not self.known_planar:
             self.full_tests += 1
@@ -103,15 +132,27 @@ class ScopedPlanarityOracle:
             self.known_planar = ok
             return ok
         self.scoped_tests += 1
+        rotation = self.rotation
+        if rotation is None:
+            embedding = lr_planarity(self.graph)
+            if embedding is None:
+                return False
+            self.rotation = embedding.as_dict()
+            return True
+        if _split_vertex(rotation, copy, coordinator, rerouted):
+            return True
         region, key = self._region_at(copy)
         cached = self._memo.get(key)
         if cached is not None:
             self.memo_hits += 1
-            return cached
-        ok = lr_is_planar(self.graph.subgraph(region))
-        if len(self._memo) >= self.MEMO_MAX_ENTRIES:
-            self._memo.clear()
-        self._memo[key] = ok
+            ok = cached
+        else:
+            ok = lr_is_planar(self.graph.subgraph(region))
+            if len(self._memo) >= self.MEMO_MAX_ENTRIES:
+                self._memo.clear()
+            self._memo[key] = ok
+        if ok:
+            self.rotation = None
         return ok
 
     # -- region extraction -------------------------------------------------
@@ -180,3 +221,55 @@ class ScopedPlanarityOracle:
                         if a == u and b == v:
                             break
         return region, frozenset(key_edges)
+
+
+def _copy(rotation: dict | None) -> dict | None:
+    # Rings are tuples, replaced rather than mutated: a shallow copy is
+    # an independent snapshot.
+    return None if rotation is None else dict(rotation)
+
+
+def _split_vertex(
+    rotation: dict[NodeId, tuple[NodeId, ...]],
+    copy: NodeId,
+    coordinator: NodeId,
+    bundle,
+) -> bool:
+    """Split ``coordinator`` in ``rotation`` if ``bundle`` is cyclically
+    consecutive in its ring; ``False`` (rotation untouched) otherwise.
+
+    The copy takes the bundle's interval of the ring: the coordinator
+    sees the copy where the bundle was, the copy sees the coordinator
+    followed by the bundle in ring order, and each bundle endpoint sees
+    the copy where the coordinator was.  Every face of the old rotation
+    maps to one face of the new one (the copy edge runs inside the two
+    faces flanking the interval), so a planar rotation stays planar.
+    """
+    ring = rotation[coordinator]
+    members = set(bundle)
+    d = len(ring)
+    k = len(members)
+    start = 0
+    if k < d:
+        start = -1
+        prev_in = ring[-1] in members
+        for i, u in enumerate(ring):
+            now_in = u in members
+            if now_in and not prev_in:
+                if start >= 0:
+                    return False  # a second run: not consecutive
+                start = i
+            prev_in = now_in
+    end = start + k
+    if end <= d:
+        run = ring[start:end]
+        rotation[coordinator] = ring[:start] + (copy,) + ring[end:]
+    else:  # the interval wraps past the end of the ring
+        run = ring[start:] + ring[: end - d]
+        rotation[coordinator] = (copy,) + ring[end - d : start]
+    rotation[copy] = (coordinator,) + run
+    for u in run:
+        r = rotation[u]
+        i = r.index(coordinator)
+        rotation[u] = r[:i] + (copy,) + r[i + 1 :]
+    return True

@@ -1,12 +1,12 @@
 """Whole-graph canonical hashing for the serving cache.
 
-The E16 scoped oracle (:mod:`repro.planar.scoped`) already showed that
-canonicalizing a *region* — renaming its one fresh copy vertex to a
-fixed token — turns isomorphic subproblems into cache hits.  The service
-layer needs the same trick at whole-job scope: two submissions of the
-same topology under different vertex labels should land on the same
-cache line.  This module computes a **label-invariant canonical hash**
-of a graph via Weisfeiler–Leman (1-WL) color refinement:
+The E16 scoped oracle (:mod:`repro.planar.scoped`) renames one fresh
+copy vertex to a fixed token in its memo keys, so a retried region hits
+under a new copy label.  The service layer needs the full version of
+that trick at whole-job scope: two submissions of the same topology
+under *any* vertex labels should land on the same cache line.  This
+module computes a **label-invariant canonical hash** of a graph via
+Weisfeiler–Leman (1-WL) color refinement:
 
 * every vertex starts with a color derived from its degree;
 * each round rehashes a vertex's color together with the sorted multiset

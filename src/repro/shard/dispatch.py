@@ -25,9 +25,10 @@ pure function of the subtree).  Each worker journals every ``try_split``
 parent's authoritative graph.  If every replayed verdict matches, the
 worker result is *exactly* what the sequential path would have
 computed, and replay has regenerated the authoritative side effects
-(graph mutations, split counters, oracle counters and memo) — so the
-worker's counters are discarded and the adopted part, ledger, trace
-records, and grafted span are bit-identical to sequential execution.
+(graph mutations, split counters, oracle counters, rotation and memo) —
+so the worker's counters are discarded and the adopted part, ledger,
+trace records, and grafted span are bit-identical to sequential
+execution.
 On any divergence (the shipped snapshot was stale), the graph, counters
 and oracle are rolled back to the pre-replay state and the subtree is
 recomputed inline; staleness costs time, never fidelity.  Worker
@@ -325,7 +326,9 @@ class ShardRuntime:
         faithfully; the replay itself regenerates the authoritative
         mutations, split counters, and oracle state.  On a mismatch,
         everything is restored exactly (adjacency snapshots put back
-        in place, preserving dict identity and insertion order) and the
+        in place, preserving dict identity and insertion order; the
+        oracle's planar rotation with its counters and memo, since the
+        mismatching split may already have been applied to it) and the
         caller recomputes inline.
         """
         if not splits:

@@ -66,6 +66,23 @@ def test_replay_mismatch_falls_back_inline(shard_env, monkeypatch):
     # replay must diverge, roll back, and recompute inline.
     sequential = _report(distributed_planar_embedding(random_outerplanar(60, seed=3)))
 
+    # The rollback must also put the oracle's planar rotation back: the
+    # mismatching replayed split was applied to it before the verdict
+    # was compared, and a stale rotation would make a later witness
+    # "yes" unsound.
+    rollbacks = []
+    original_replay = dispatch.ShardRuntime._replay
+
+    def checked_replay(self, ctx, splits):
+        rotation = ctx.oracle.rotation
+        before = None if rotation is None else dict(rotation)
+        adopted = original_replay(self, ctx, splits)
+        if not adopted:
+            assert ctx.oracle.rotation == before
+            rollbacks.append(before is not None)
+        return adopted
+
+    monkeypatch.setattr(dispatch.ShardRuntime, "_replay", checked_replay)
     monkeypatch.setattr(dispatch, "run_unit", _corrupt_first_verdict)
     result = distributed_planar_embedding(
         random_outerplanar(60, seed=3), shard_workers=2
@@ -74,6 +91,8 @@ def test_replay_mismatch_falls_back_inline(shard_env, monkeypatch):
     stats = result.shard_stats
     assert stats["subtrees_shipped"] > 0
     assert stats["fallback_replay_mismatch"] > 0
+    assert len(rollbacks) == stats["fallback_replay_mismatch"]
+    assert any(rollbacks), "no rollback happened while a rotation was held"
 
 
 def test_sequential_settings_bypass_runtime(shard_env):

@@ -32,6 +32,7 @@ from .compact import (
     CompactCertificateSet,
     CompactDecodeError,
     encode_certificates,
+    packed_bit_lengths,
     verify_compact,
 )
 from .delta import (
@@ -71,6 +72,7 @@ __all__ = [
     "CompactCertificateSet",
     "CompactDecodeError",
     "encode_certificates",
+    "packed_bit_lengths",
     "verify_compact",
     "ChurnReport",
     "DynamicCertifiedEmbedding",

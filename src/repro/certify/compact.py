@@ -34,12 +34,15 @@ violates.
 Size accounting is measured, not modeled: every blob knows its exact
 bit length, and :class:`CompactCertificateSet` reports total / mean /
 max bits per node next to the E14 word-label baseline
-(``words × word_bits(n)``).
+(``words × word_bits(n)``).  :func:`packed_bit_lengths` measures a
+subset of labels the same way, so a local patch pays for the labels it
+changed rather than for all ``n``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterable
 
 from ..planar.graph import Graph, NodeId
 from .labels import CertificateSet, DartLabel, NodeCertificate
@@ -50,6 +53,7 @@ __all__ = [
     "CompactCertificateSet",
     "CompactDecodeError",
     "encode_certificates",
+    "packed_bit_lengths",
     "verify_compact",
 ]
 
@@ -301,6 +305,12 @@ class CompactCertificateSet:
         }
 
 
+def _node_table(graph: Graph) -> tuple[tuple[NodeId, ...], dict[NodeId, int], int]:
+    """The codec context: node table, its index, and ``id_bits``."""
+    table = tuple(graph.nodes())
+    return table, {v: i for i, v in enumerate(table)}, _id_bits(len(table))
+
+
 def encode_certificates(graph: Graph, certificates: CertificateSet) -> CompactCertificateSet:
     """Pack every label of ``certificates`` (honest or tampered).
 
@@ -308,14 +318,30 @@ def encode_certificates(graph: Graph, certificates: CertificateSet) -> CompactCe
     messages, no rounds.  The node table is the graph's deterministic
     insertion order, shared knowledge from the embedding run itself.
     """
-    table = tuple(graph.nodes())
-    index = {v: i for i, v in enumerate(table)}
-    id_bits = _id_bits(len(table))
+    table, index, id_bits = _node_table(graph)
     blobs = {
         v: _encode_label(label, index, id_bits)
         for v, label in certificates.labels.items()
     }
     return CompactCertificateSet(nodes=table, blobs=blobs)
+
+
+def packed_bit_lengths(
+    graph: Graph, certificates: CertificateSet, nodes: Iterable[NodeId]
+) -> dict[NodeId, int]:
+    """Pack only the labels of ``nodes`` and return their exact bit lengths.
+
+    Same node table, ``id_bits`` and label packer as
+    :func:`encode_certificates`, so each length equals that node's entry
+    in ``encode_certificates(graph, certificates).size_bits()``; a node
+    holding no label is skipped.  A local patch sizes the labels it
+    changed with this instead of packing all ``n``.
+    """
+    _, index, id_bits = _node_table(graph)
+    labels = certificates.labels
+    return {
+        v: _encode_label(labels[v], index, id_bits)[1] for v in nodes if v in labels
+    }
 
 
 def verify_compact(

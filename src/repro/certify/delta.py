@@ -33,9 +33,13 @@ convincing there as a full verification.
 the E14 face labels) but their distributed cost model is charged
 explicitly to the ``certify:delta`` phase under a ``certify-delta``
 span: one exchange round, a convergecast from the deepest dirty node,
-and a root announce of the refreshed totals.  Fallback rebuilds run the
-real E14 prover and pay its real rounds, so the bench comparison
-(`bench_e21_compact.py`) races measured ledgers, not assumptions.
+and a root announce of the refreshed totals.  The words charged are the
+packed sizes of the patched labels alone: a patch packs only its dirty
+labels (:func:`~repro.certify.compact.packed_bit_lengths`), never all
+``n``, so its local bookkeeping follows the change too.  Fallback
+rebuilds run the real E14 prover and pay its real rounds, so the bench
+comparison (`bench_e21_compact.py`) races measured ledgers, not
+assumptions.
 """
 
 from __future__ import annotations
@@ -51,7 +55,12 @@ from ..obs import Tracer, maybe_span
 from ..obs.causal import causal_override
 from ..planar.graph import Graph, NodeId
 from ..planar.rotation import RotationSystem
-from .compact import CompactCertificateSet, encode_certificates, verify_compact
+from .compact import (
+    CompactCertificateSet,
+    encode_certificates,
+    packed_bit_lengths,
+    verify_compact,
+)
 from .labels import CertificateSet, DartLabel
 from .prover import build_certificates
 from .verifier import CertificationReport, CertVerifierProgram, Rejection
@@ -110,6 +119,12 @@ def _closure(graph: Graph, nodes: Iterable[NodeId]) -> set[NodeId]:
             closed.add(v)
             closed.update(graph.neighbors(v))
     return closed
+
+
+def _patch_words(graph: Graph, certs: CertificateSet, nodes: Iterable[NodeId]) -> int:
+    """Words a patch ships: each changed label's packed size in whole words."""
+    wbits = word_bits(max(1, graph.num_nodes))
+    return sum(-(-b // wbits) for b in packed_bit_lengths(graph, certs, nodes).values())
 
 
 def _reference_certificates(graph: Graph, rotation_system: RotationSystem) -> CertificateSet:
@@ -211,10 +226,7 @@ def repair_certificates(
         depth_of = {v: lab.depth for v, lab in reference.labels.items()}
         up = max((depth_of.get(v, 0) for v in patched_nodes), default=0)
         announce = max(depth_of.values(), default=0)
-        wbits = word_bits(max(1, n))
-        compact = encode_certificates(graph, patched_set)
-        bits = compact.size_bits()
-        words = sum(-(-bits[v] // wbits) for v in patched_nodes)
+        words = _patch_words(graph, patched_set, patched_nodes)
         rounds = sweeps + up + announce
         ledger.charge(
             "certify:delta",
@@ -302,10 +314,12 @@ class ChurnReport:
 class DynamicCertifiedEmbedding:
     """A certified planar embedding that stays certified under churn.
 
-    Owns a private copy of the graph, the live rotation system, the
-    certificate tree (parent/depth/children read off the labels), and
-    the proof labels themselves.  ``insert_edge`` splits the shared face
-    of the endpoints; ``delete_edge`` merges the two incident faces
+    Owns a private copy of the graph and its edge count (``num_edges``,
+    stepped by every insert and delete, so a face walk reads its bound
+    in O(1)), the live rotation system, the certificate tree
+    (parent/depth/children read off the labels), and the proof labels
+    themselves.  ``insert_edge`` splits the shared face of the
+    endpoints; ``delete_edge`` merges the two incident faces
     (refusing bridges, which would disconnect the network) and re-hangs
     the certificate subtree when a tree edge disappears.  Each mutation
     patches only the dirty region and re-verifies it with the unchanged
@@ -372,10 +386,19 @@ class DynamicCertifiedEmbedding:
             if driver.last_metrics is not None:
                 self.metrics.absorb_serial(driver.last_metrics)
         self.rotation = {v: tuple(order) for v, order in result.rotation.items()}
+        self.num_edges = self.graph.num_edges
         self.certs = build_certificates(
             self.graph, result.rotation_system, metrics=self.metrics, tracer=self.tracer
         )
         self._refresh_tree()
+
+    def _add_edge(self, u: NodeId, v: NodeId) -> None:
+        self.graph.add_edge(u, v)
+        self.num_edges += 1
+
+    def _remove_edge(self, u: NodeId, v: NodeId) -> None:
+        self.graph.remove_edge(u, v)
+        self.num_edges -= 1
 
     def _rebuild_certificates(self) -> None:
         """Real E14 prover on the live rotation (rounds on the ledger)."""
@@ -430,7 +453,7 @@ class DynamicCertifiedEmbedding:
 
     def _face_walk(self, start: tuple[NodeId, NodeId]) -> list[tuple[NodeId, NodeId]]:
         """The face walk containing dart ``start``, on the live rotation."""
-        limit = 2 * self.graph.num_edges + 2
+        limit = 2 * self.num_edges + 2
         walk = [start]
         u, v = start
         for _ in range(limit):
@@ -462,10 +485,7 @@ class DynamicCertifiedEmbedding:
         node + the root's announce of the refreshed ``(m, f)``."""
         up = max((self.depth[v] for v in dirty if v in self.depth), default=0)
         announce = max(self.depth.values(), default=0)
-        wbits = word_bits(max(1, self.graph.num_nodes))
-        compact = encode_certificates(self.graph, self.certs)
-        bits = compact.size_bits()
-        words = sum(-(-bits[v] // wbits) for v in dirty if v in bits)
+        words = _patch_words(self.graph, self.certs, dirty)
         rounds = sweeps + up + announce
         self.metrics.charge(
             "certify:delta",
@@ -539,12 +559,12 @@ class DynamicCertifiedEmbedding:
         self.stats["inserts"] += 1
         with maybe_span(self.tracer, "certify-delta", kind="phase", n=self.graph.num_nodes):
             if not self.incremental:
-                self.graph.add_edge(u, v)
+                self._add_edge(u, v)
                 return self._record_rebuild("insert", u, v, "rebuild-embed")
 
             corners = self._find_shared_face(u, v)
             if corners is None:
-                self.graph.add_edge(u, v)
+                self._add_edge(u, v)
                 return self._record_rebuild("insert", u, v, "rebuild-embed")
             a, c, old_walk = corners
             old_leader_owner = self.certs.labels[old_walk[0][0]].darts[old_walk[0][1]].face[0]
@@ -552,7 +572,7 @@ class DynamicCertifiedEmbedding:
             # Rotation split: v right after a around u, u right after c
             # around v — the face-tracing successors of (a,u) and (c,v)
             # become the new darts, splitting the walk in two.
-            self.graph.add_edge(u, v)
+            self._add_edge(u, v)
             ring_u = list(self.rotation[u])
             ring_u.insert(ring_u.index(a) + 1, v)
             self.rotation[u] = tuple(ring_u)
@@ -637,7 +657,7 @@ class DynamicCertifiedEmbedding:
         self.stats["deletes"] += 1
         with maybe_span(self.tracer, "certify-delta", kind="phase", n=self.graph.num_nodes):
             if not self.incremental:
-                self.graph.remove_edge(u, v)
+                self._remove_edge(u, v)
                 return self._record_rebuild("delete", u, v, "rebuild-embed")
 
             walk_b = self._face_walk((v, u))
@@ -645,7 +665,7 @@ class DynamicCertifiedEmbedding:
             leader_b_owner = self.certs.labels[v].darts[u].face[0]
 
             # Rotation merge: drop the darts; the two walks concatenate.
-            self.graph.remove_edge(u, v)
+            self._remove_edge(u, v)
             self.rotation[u] = tuple(x for x in self.rotation[u] if x != v)
             self.rotation[v] = tuple(x for x in self.rotation[v] if x != u)
             merged = self._face_walk(walk_a[1])

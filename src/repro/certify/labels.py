@@ -145,15 +145,33 @@ class CertificateSet:
         bits = word_bits(max(1, len(self.labels)))
         return {v: c.words(bits) * bits for v, c in self.labels.items()}
 
+    def size_summary(self) -> dict:
+        """Words max/mean and bits total/max/mean from one measuring pass.
+
+        Bits are ``words × word_bits(n)`` exactly as :meth:`size_bits`
+        computes them, so every field equals its value from
+        :meth:`max_words`, :meth:`mean_words` and :meth:`size_bits`,
+        each of which re-measures every label.
+        """
+        words = list(self.size_words().values())
+        bits = word_bits(max(1, len(self.labels)))
+        total = sum(words)
+        peak = max(words, default=0)
+        return {
+            "words_max": peak,
+            "words_mean": total / len(words) if words else 0.0,
+            "bits_total": total * bits,
+            "bits_max": peak * bits,
+            "bits_mean": total * bits / len(words) if words else 0.0,
+        }
+
     def to_dict(self) -> dict:
         """A JSON-ready size summary (labels themselves stay binary-ish)."""
-        bit_sizes = self.size_bits()
+        sizes = self.size_summary()
         return {
             "nodes": len(self.labels),
-            "words_max": self.max_words(),
-            "words_mean": round(self.mean_words(), 2),
-            "bits_max": max(bit_sizes.values(), default=0),
-            "bits_mean": (
-                round(sum(bit_sizes.values()) / len(bit_sizes), 2) if bit_sizes else 0.0
-            ),
+            "words_max": sizes["words_max"],
+            "words_mean": round(sizes["words_mean"], 2),
+            "bits_max": sizes["bits_max"],
+            "bits_mean": round(sizes["bits_mean"], 2),
         }

@@ -423,7 +423,7 @@ def verify_distributed(
             announced_ok = int(not rejections)
             announced_rejections = len(rejections)
 
-    bit_sizes = certificates.size_bits()
+    sizes = certificates.size_summary()
     return CertificationReport(
         accepted=not rejections,
         rejections=rejections,
@@ -431,13 +431,11 @@ def verify_distributed(
         nodes=graph.num_nodes,
         announced_ok=bool(announced_ok),
         announced_rejections=announced_rejections,
-        label_words_max=certificates.max_words(),
-        label_words_mean=certificates.mean_words(),
-        label_bits_total=sum(bit_sizes.values()),
-        label_bits_max=max(bit_sizes.values(), default=0),
-        label_bits_mean=(
-            sum(bit_sizes.values()) / len(bit_sizes) if bit_sizes else 0.0
-        ),
+        label_words_max=sizes["words_max"],
+        label_words_mean=sizes["words_mean"],
+        label_bits_total=sizes["bits_total"],
+        label_bits_max=sizes["bits_max"],
+        label_bits_mean=sizes["bits_mean"],
     )
 
 

@@ -7,6 +7,7 @@ import pytest
 
 from repro.certify import (
     TAMPER_CLASSES,
+    NodeCertificate,
     build_certificates,
     run_tamper_suite,
     verify_distributed,
@@ -121,6 +122,45 @@ def test_label_sizes_logarithmic():
     g = random_maximal_planar(40, seed=9)
     _, certs = certified(g)
     assert certs.mean_words() <= 8 * math.log2(g.num_nodes)
+
+
+@pytest.mark.parametrize("missing", [False, True], ids=["honest", "one-label-missing"])
+def test_verification_measures_each_label_once(missing, monkeypatch):
+    """One ``verify_distributed`` call sizes every label once, and its
+    five size fields equal the per-method measurements.  A missing label
+    is what ``decode_lenient`` leaves for an undecodable blob."""
+    g = grid_graph(5, 5)
+    rotmap, certs = certified(g)
+    if missing:
+        del certs.labels[next(iter(certs.labels))]
+    bits = certs.size_bits()
+    expected = {
+        "label_words_max": certs.max_words(),
+        "label_words_mean": certs.mean_words(),
+        "label_bits_total": sum(bits.values()),
+        "label_bits_max": max(bits.values()),
+        "label_bits_mean": sum(bits.values()) / len(bits),
+    }
+    summary = {
+        "nodes": len(certs),
+        "words_max": expected["label_words_max"],
+        "words_mean": round(expected["label_words_mean"], 2),
+        "bits_max": expected["label_bits_max"],
+        "bits_mean": round(expected["label_bits_mean"], 2),
+    }
+    calls = [0]
+    words = NodeCertificate.words
+
+    def counting(self, bits_per_word):
+        calls[0] += 1
+        return words(self, bits_per_word)
+
+    monkeypatch.setattr(NodeCertificate, "words", counting)
+    report = verify_distributed(g, rotmap, certs)
+    assert calls[0] == len(certs)
+    assert {k: getattr(report, k) for k in expected} == expected
+    assert report.accepted is not missing
+    assert certs.to_dict() == summary
 
 
 # -- soundness -------------------------------------------------------------

@@ -14,11 +14,16 @@ from repro.certify import (
     DynamicCertifiedEmbedding,
     apply_tamper,
     build_certificates,
+    compact,
+    delta,
     encode_certificates,
+    packed_bit_lengths,
     repair_certificates,
     verify_compact,
     verify_distributed,
 )
+from repro.congest.message import word_bits
+from repro.congest.metrics import RoundMetrics
 from repro.core import self_healing_embedding
 from repro.planar import planar_embedding
 from repro.planar.generators import demo_graph
@@ -147,6 +152,19 @@ def test_tree_edge_deletion_rehangs_subtree():
     assert engine.certs == reference_labels(engine)
 
 
+def test_face_walk_on_a_non_permutation_ring_raises_instead_of_looping():
+    """A ring that lists one neighbor twice leaves one out-dart with no
+    predecessor; the walk from it never closes and must hit the
+    ``2m + 2`` bound."""
+    g = demo_graph(["grid", 4, 4], seed=0)
+    engine = DynamicCertifiedEmbedding(g, incremental=True)
+    v = next(x for x in engine.graph.nodes() if engine.graph.degree(x) >= 3)
+    ring = engine.rotation[v]
+    engine.rotation[v] = (ring[0], ring[1], ring[0]) + ring[2:]
+    with pytest.raises(AssertionError, match="did not close"):
+        engine._face_walk((v, ring[2]))
+
+
 def test_zero_fallback_ratio_forces_rebuild():
     g = demo_graph(["grid", 4, 4], seed=0)
     engine = DynamicCertifiedEmbedding(g, incremental=True, fallback_ratio=0.0)
@@ -186,6 +204,86 @@ def test_churn_report_is_json_ready():
     result = DynamicCertifiedEmbedding(g).to_result()
     assert result.certification.accepted
     json.dumps(result.to_report(), default=repr)
+
+
+# -- patch sizing: subset packing, exact and proportional to the change ----
+
+
+def _full_set_patch_words(graph, certificates, nodes):
+    """Reference charge: pack every label, then charge the ``nodes`` among
+    them, each rounded up to whole words."""
+    wbits = word_bits(max(1, graph.num_nodes))
+    bits = encode_certificates(graph, certificates).size_bits()
+    return sum(-(-bits[v] // wbits) for v in nodes if v in bits)
+
+
+def _churn_and_repair(spec):
+    """One seeded churn and one tampered repair; everything they report."""
+    engine = DynamicCertifiedEmbedding(demo_graph(spec, seed=7), fallback_ratio=1.0)
+    churn = engine.run_churn(8, seed=11)
+    assert engine.num_edges == engine.graph.num_edges
+    g, system, rotmap, certs = _certified_embedding(spec)
+    apply_tamper("bit-flip", g, rotmap, certs, seed=31)
+    rejecting = {r.node for r in verify_distributed(g, rotmap, certs).rejections}
+    ledger = RoundMetrics()
+    outcome = repair_certificates(
+        g, system, certs, rejecting, metrics=ledger, fallback_ratio=1.0
+    )
+    assert outcome.mode == "patched"
+    return (
+        engine.metrics.to_dict(),
+        [r.to_dict() for r in churn.records],
+        churn.final_certification.to_dict(),
+        outcome,
+        ledger.to_dict(),
+    )
+
+
+@pytest.mark.parametrize("name,spec", FAMILIES, ids=[n for n, _ in FAMILIES])
+def test_subset_sizing_equals_full_set_reference(name, spec, monkeypatch):
+    """Sizing a patch from its dirty labels alone charges exactly what
+    packing every label and selecting the dirty ones charged: same
+    ledgers (per-phase words included), records, report and repair."""
+    sized = []
+
+    def checked(graph, certificates, nodes):
+        got = packed_bit_lengths(graph, certificates, nodes)
+        full = encode_certificates(graph, certificates).size_bits()
+        assert got == {v: full[v] for v in nodes}
+        sized.append(len(got))
+        return got
+
+    monkeypatch.setattr(delta, "packed_bit_lengths", checked)
+    subset = _churn_and_repair(spec)
+    monkeypatch.setattr(delta, "_patch_words", _full_set_patch_words)
+    reference = _churn_and_repair(spec)
+    assert len(sized) >= 2  # at least one patched op plus the repair
+    assert subset == reference
+
+
+def test_patch_packs_only_its_dirty_labels(monkeypatch):
+    """On a graph much larger than the dirty sets, a patched op packs at
+    most its dirty labels, not all ``n``."""
+    g = demo_graph(["grid", 12, 12], seed=0)
+    plan = DynamicCertifiedEmbedding(g).run_churn(16, seed=3).plan
+    engine = DynamicCertifiedEmbedding(g)
+    packed = [0]
+    encode_label = compact._encode_label
+
+    def counting(*args):
+        packed[0] += 1
+        return encode_label(*args)
+
+    monkeypatch.setattr(compact, "_encode_label", counting)
+    patched = 0
+    for kind, a, b in plan:
+        packed[0] = 0
+        record = engine.insert_edge(a, b) if kind == "insert" else engine.delete_edge(a, b)
+        assert record.accepted
+        assert packed[0] <= record.dirty, (kind, a, b, packed[0], record.dirty)
+        patched += record.mode == "patched"
+    assert patched >= len(plan) // 2
+    assert engine.num_edges == engine.graph.num_edges
 
 
 # -- repair_certificates (the E17 healing rung) ----------------------------

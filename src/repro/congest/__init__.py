@@ -21,7 +21,6 @@ from .faults import (
 )
 from .message import (
     Message,
-    PayloadMeter,
     decode_payload,
     encode_payload,
     flip_bit,
@@ -56,7 +55,6 @@ __all__ = [
     "SCHEDULERS",
     "default_scheduler",
     "scheduler_override",
-    "PayloadMeter",
     "payload_words",
     "payload_bits",
     "word_bits",

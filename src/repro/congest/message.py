@@ -3,16 +3,26 @@
 The CONGEST model allows one ``O(log n)``-bit message per edge per round.
 We account sizes in *words*, where one word is ``ceil(log2(n+1)) + 2``
 bits — enough for a node identifier, a small tag, or a bounded counter.
-A payload is measured by recursively flattening it into atoms:
+A payload is measured by flattening it into atoms:
 
 * ``None``/booleans: tag only (counted as one atom, conservatively),
-* integers: one word per ``word_bits`` chunk of their magnitude,
+* integers: one word per ``word_bits`` chunk of their magnitude (plus a
+  sign bit),
+* floats: 64 bits,
 * strings (protocol tags): one word per 4 characters (conservative),
-* tuples/lists: the sum of their items.
+* tuples/lists/sets/frozensets: the sum of their items; dicts: the sum
+  of their keys and values.
 
 This is intentionally a *conservative over-estimate*: the experiments that
 check the bandwidth discipline (E9) use these measured sizes, so erring on
 the large side only makes the reproduced claims harder to satisfy.
+
+Every message the simulator delivers is measured once, directly, for
+both the bandwidth check and the ledger: :func:`payload_words` walks a
+tuple's items in one pass and recurses only into nested containers.
+There is no cache — protocol messages such as a verifier's
+``("crt", <tree fields>, <dart fields>)`` are mostly unique, and the
+flat pass is cheaper than computing a type-aware cache key.
 
 Wire format
 -----------
@@ -47,7 +57,6 @@ __all__ = [
     "word_bits",
     "payload_words",
     "payload_bits",
-    "PayloadMeter",
     "Message",
     "encode_payload",
     "decode_payload",
@@ -63,85 +72,59 @@ def word_bits(n: int) -> int:
 
 
 def payload_words(payload: object, bits_per_word: int = 32) -> int:
-    """Measure a payload in words (see module docstring)."""
-    if payload is None or isinstance(payload, bool):
-        return 1
-    if isinstance(payload, int):
-        magnitude_bits = max(1, payload.bit_length()) + 1  # +1 sign
-        return max(1, math.ceil(magnitude_bits / bits_per_word))
-    if isinstance(payload, float):
+    """Measure a payload in words (see module docstring).
+
+    One pass over a tuple's or list's items: the protocol atoms
+    (``int``, ``str``, ``None``, ``bool``) are matched on their exact
+    type and measured inline, and only nested containers recurse.  Every
+    other value — floats, sets, frozensets, dicts, subclasses such as an
+    ``IntEnum`` member or a namedtuple — follows the ``isinstance`` rules
+    of :func:`_other_words`, so a subclass measures as its base type.
+    """
+    cls = payload.__class__
+    if cls is not tuple and cls is not list:
+        payload = (payload,)
+    words = 0
+    for item in payload:
+        cls = item.__class__
+        if cls is int:
+            bits = item.bit_length() or 1
+            # one word when the magnitude plus a sign bit fit in it
+            words += 1 if bits < bits_per_word else _int_words(bits, bits_per_word)
+        elif cls is str:
+            words += (len(item) + 3) // 4 or 1
+        elif cls is tuple or cls is list:
+            words += payload_words(item, bits_per_word)
+        elif item is None or cls is bool:
+            words += 1
+        else:
+            words += _other_words(item, bits_per_word)
+    return words
+
+
+def _int_words(magnitude_bits: int, bits_per_word: int) -> int:
+    return max(1, math.ceil((magnitude_bits + 1) / bits_per_word))  # +1 sign
+
+
+def _other_words(value: object, bits_per_word: int) -> int:
+    """Words of a value :func:`payload_words` does not match on exact type."""
+    if isinstance(value, int):
+        return _int_words(value.bit_length() or 1, bits_per_word)
+    if isinstance(value, float):
         return max(1, math.ceil(64 / bits_per_word))
-    if isinstance(payload, str):
-        return max(1, math.ceil(len(payload) / 4))
-    if isinstance(payload, (tuple, list, frozenset, set)):
-        items = sorted(payload, key=repr) if isinstance(payload, (set, frozenset)) else payload
-        return sum(payload_words(item, bits_per_word) for item in items)
-    if isinstance(payload, dict):
-        return sum(
-            payload_words(k, bits_per_word) + payload_words(v, bits_per_word)
-            for k, v in payload.items()
-        )
-    raise TypeError(f"unsupported payload type for CONGEST accounting: {type(payload)!r}")
+    if isinstance(value, str):
+        return (len(value) + 3) // 4 or 1
+    if isinstance(value, (tuple, list, frozenset, set)):
+        return payload_words(list(value), bits_per_word)
+    if isinstance(value, dict):
+        return payload_words([*value.keys(), *value.values()], bits_per_word)
+    raise TypeError(f"unsupported payload type for CONGEST accounting: {type(value)!r}")
 
 
 def payload_bits(payload: object, n: int) -> int:
     """Measure a payload in bits, for an ``n``-node network's word size."""
     bits = word_bits(n)
     return payload_words(payload, bits) * bits
-
-
-def _memo_key(payload: object):
-    """A type-aware cache key: distinguishes values that compare equal but
-    measure differently (``2`` vs ``2.0`` vs ``True``), recursively through
-    tuples.  Unhashable payloads (lists, sets, dicts) produce an unhashable
-    key, which the caller treats as "do not cache".
-
-    Flat tuples — the overwhelming protocol case — take a non-recursive
-    path keyed by ``(payload, item_types)``: equal flat tuples with
-    identical per-item types always measure the same.  Recursion is
-    needed only when an item is itself a tuple (``("x", (2,))`` must not
-    collide with ``("x", (2.0,))`` — equal values, equal item types at
-    the top level, different measurements inside)."""
-    cls = payload.__class__
-    if cls is not tuple:
-        return (cls, payload)
-    types = tuple(map(type, payload))
-    if tuple in types:
-        return (tuple, tuple(map(_memo_key, payload)))
-    return (payload, types)
-
-
-class PayloadMeter:
-    """A memoizing :func:`payload_words` for one fixed word size.
-
-    Protocol payloads are overwhelmingly small immutable tuples rebuilt
-    with the same shape and values every round (``("layer", d)``,
-    ``("agg", (s, h))``, ...), so the recursive measurement is cached per
-    distinct value.  Keys are type-aware (:func:`_memo_key`), so the cache
-    can never conflate ``2`` with ``2.0`` or ``True``; payloads containing
-    unhashable parts fall back to direct measurement.  The cache is capped
-    to keep adversarial value streams from growing it without bound.
-    """
-
-    __slots__ = ("bits_per_word", "_cache")
-
-    MAX_ENTRIES = 1 << 16
-
-    def __init__(self, bits_per_word: int) -> None:
-        self.bits_per_word = bits_per_word
-        self._cache: dict = {}
-
-    def __call__(self, payload: object) -> int:
-        try:
-            key = _memo_key(payload)
-            return self._cache[key]
-        except KeyError:
-            words = payload_words(payload, self.bits_per_word)
-            if len(self._cache) < self.MAX_ENTRIES:
-                self._cache[key] = words
-            return words
-        except TypeError:  # unhashable key: measure without caching
-            return payload_words(payload, self.bits_per_word)
 
 
 # -- wire format -------------------------------------------------------------

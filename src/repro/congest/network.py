@@ -35,7 +35,7 @@ from ..obs.causal import default_causal_recorder
 from ..planar.graph import Graph, NodeId
 from .errors import BandwidthExceededError, ProtocolViolationError, RoundLimitExceededError
 from .faults import FaultInjector, FaultPlan, FaultState, default_fault_injector
-from .message import PayloadMeter, word_bits
+from .message import payload_words, word_bits
 from .metrics import RoundMetrics
 from .node import NodeProgram
 
@@ -121,9 +121,6 @@ class CongestNetwork:
         self.scheduler = _validate_scheduler(
             scheduler if scheduler is not None else _default_scheduler
         )
-        # Memoizing payload meter: each distinct immutable payload shape
-        # is measured once per network, not once per message.
-        self._measure = PayloadMeter(self.word_bits)
         # Per-round observer (e.g. a repro.obs.Tracer), inherited from the
         # ledger; None means the round loop runs with no tracing code at all.
         self.observer = getattr(self.metrics, "observer", None)
@@ -500,12 +497,12 @@ class CongestNetwork:
     ) -> tuple[int, int, int]:
         """Validate, measure, and deliver one node's outbox — single pass.
 
-        Each payload is measured exactly once (memoized), serving both
-        the bandwidth check and the ledger.  Returns
+        Each payload is measured exactly once, directly (no cache),
+        serving both the bandwidth check and the ledger.  Returns
         ``(messages, words, max_edge_words)``.
         """
         neighbors = self.graph._adj[sender]
-        measure = self._measure
+        bits = self.word_bits
         bandwidth = self.bandwidth_words
         count = 0
         words = 0
@@ -515,7 +512,7 @@ class CongestNetwork:
                 raise ProtocolViolationError(
                     f"{sender!r} tried to send to non-neighbor {receiver!r}"
                 )
-            w = measure(payload)
+            w = payload_words(payload, bits)
             if w > bandwidth:
                 raise BandwidthExceededError(
                     f"{sender!r}->{receiver!r}: {w} words exceeds "
@@ -548,7 +545,7 @@ class CongestNetwork:
         """
         fs = self._fault_state
         neighbors = self.graph._adj[sender]
-        measure = self._measure
+        bits = self.word_bits
         bandwidth = self.bandwidth_words
         count = 0
         words = 0
@@ -558,7 +555,7 @@ class CongestNetwork:
                 raise ProtocolViolationError(
                     f"{sender!r} tried to send to non-neighbor {receiver!r}"
                 )
-            w = measure(payload)
+            w = payload_words(payload, bits)
             if w > bandwidth:
                 raise BandwidthExceededError(
                     f"{sender!r}->{receiver!r}: {w} words exceeds "

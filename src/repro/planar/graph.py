@@ -48,8 +48,8 @@ def sort_key(node: NodeId) -> str:
     ordering mixed real/pseudo vertices — but amortizes the string
     construction, which dominates the cost on the wrapped ``("v", id)``
     tuples used throughout the pipeline.  The cache is bounded (cleared
-    when full, like :class:`~repro.congest.message.PayloadMeter`) and
-    falls back to an uncached ``repr`` for unhashable nodes.
+    when full) and falls back to an uncached ``repr`` for unhashable
+    nodes.
     """
     try:
         key = _SORT_KEY_CACHE.get(node)

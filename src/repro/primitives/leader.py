@@ -32,7 +32,7 @@ from __future__ import annotations
 import os
 from typing import Any
 
-from ..congest.message import PayloadMeter, word_bits
+from ..congest.message import payload_words, word_bits
 from ..congest.metrics import RoundMetrics
 from ..congest.network import default_scheduler, run_program
 from ..congest.node import NodeProgram
@@ -96,10 +96,10 @@ def _fast_flood(graph: Graph, metrics: RoundMetrics | None, phase: str | None):
     """
     adj = graph._adj
     n = len(adj)
-    measure = PayloadMeter(word_bits(max(1, n)))
+    bits = word_bits(max(1, n))
     # Pre-flight the bandwidth check so a fallback never half-records.
     for v in adj:
-        if adj[v] and measure(v) > _BANDWIDTH_WORDS:
+        if adj[v] and payload_words(v, bits) > _BANDWIDTH_WORDS:
             return _FALLBACK
     if metrics is None:
         metrics = RoundMetrics()
@@ -118,7 +118,7 @@ def _fast_flood(graph: Graph, metrics: RoundMetrics | None, phase: str | None):
         deg = len(adj[v])
         if not deg:
             continue
-        w = measure(v)
+        w = payload_words(v, bits)
         pending += deg
         words += deg * w
         if w > max_edge:
@@ -145,7 +145,7 @@ def _fast_flood(graph: Graph, metrics: RoundMetrics | None, phase: str | None):
             if cand <= best[u]:
                 continue
             best[u] = cand
-            w = measure(cand)
+            w = payload_words(cand, bits)
             deg = len(adj[u])
             pending += deg
             words += deg * w

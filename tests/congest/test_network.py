@@ -5,6 +5,7 @@ import pytest
 from repro.congest import (
     BandwidthExceededError,
     CongestNetwork,
+    FaultPlan,
     NodeProgram,
     ProtocolViolationError,
     RoundLimitExceededError,
@@ -56,6 +57,32 @@ class TestEnforcement:
 
         with pytest.raises(BandwidthExceededError):
             run_program(path_graph(2), Blaster, bandwidth_words=8)
+
+    @pytest.mark.parametrize("faults", [None, FaultPlan(seed=1)], ids=["plain", "fault-path"])
+    def test_equal_payloads_of_different_types_measure_apart(self, faults):
+        """``frozenset({2}) == frozenset({2.0})`` with equal hashes, but at
+        4-bit words the first is 1 word and the second 16: a meter keyed
+        by payload value would pass the second as 1 word."""
+
+        class IntThenFloat(NodeProgram):
+            def __init__(self, node_id, neighbors):
+                super().__init__(node_id, neighbors)
+                self.done = True
+
+            def on_start(self):
+                return {1: frozenset({2})} if self.node_id == 0 else {}
+
+            def on_round(self, round_no, inbox):
+                return {0: frozenset({2.0})} if inbox and self.node_id == 1 else {}
+
+        g = path_graph(2)
+        assert CongestNetwork(g).word_bits == 4
+        with pytest.raises(BandwidthExceededError, match="16 words exceeds bandwidth 8"):
+            run_program(g, IntThenFloat, bandwidth_words=8, faults=faults)
+        m = RoundMetrics()
+        run_program(g, IntThenFloat, bandwidth_words=16, metrics=m, faults=faults)
+        assert (m.rounds, m.messages, m.total_words) == (2, 2, 1 + 16)
+        assert m.max_words_edge_round == 16
 
     def test_send_to_non_neighbor_rejected(self):
         class Cheater(EchoOnce):

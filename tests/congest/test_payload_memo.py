@@ -1,53 +1,15 @@
-"""PayloadMeter memo keys must never conflate distinct measurements.
+"""Payload measurement keeps no memo.
 
-The meter caches :func:`payload_words` per payload value, but Python
-equality crosses types (``2 == 2.0 == True``) while the measurement does
-not — so the cache key must carry type information, recursively through
-nested tuples.  A collision here would silently corrupt the word ledger.
+:func:`payload_words` measures a payload as it is at the call: a payload
+holding a list is measured again after the list changes, never answered
+from an earlier measurement of the same object.
 """
 
-import random
-
-from repro.congest.message import PayloadMeter, _memo_key, payload_words
-
-
-def test_equal_values_of_different_types_measure_independently():
-    meter = PayloadMeter(5)
-    # 2 == 2.0 == True, but words differ: int 2 -> 1 word @5 bits,
-    # float -> ceil(64/5), bool -> 1 (tag).
-    for payload in (2, 2.0, True, 2, 2.0, True):
-        assert meter(payload) == payload_words(payload, 5)
-
-
-def test_nested_tuples_with_equal_values_do_not_collide():
-    meter = PayloadMeter(5)
-    a, b = ("x", (2,)), ("x", (2.0,))
-    assert a == b  # equal values, equal top-level item types...
-    assert _memo_key(a) != _memo_key(b)  # ...distinct keys regardless
-    assert meter(a) == payload_words(a, 5)
-    assert meter(b) == payload_words(b, 5)
-    assert meter(a) != meter(b)
-
-
-def test_flat_tuple_fast_path_matches_direct_measurement():
-    meter = PayloadMeter(7)
-    rng = random.Random(5)
-    atoms = [0, 1, -3, 2**40, "bfs", "agg", True, None, 3.5]
-    for _ in range(200):
-        payload = tuple(rng.choice(atoms) for _ in range(rng.randrange(5)))
-        assert meter(payload) == payload_words(payload, 7)
-        assert meter(payload) == payload_words(payload, 7)  # cached path
+from repro.congest.message import payload_words
 
 
 def test_unhashable_payloads_measure_without_caching():
-    meter = PayloadMeter(5)
     payload = ("tag", [1, 2, 3])
-    assert meter(payload) == payload_words(payload, 5)
-    assert len(meter._cache) == 0
-
-
-def test_cache_is_capped():
-    meter = PayloadMeter(5)
-    for i in range(100):
-        meter(("k", i))
-    assert 0 < len(meter._cache) <= meter.MAX_ENTRIES
+    assert payload_words(payload, 5) == payload_words(("tag", [1, 2, 3]), 5) == 4
+    payload[1].append(2**40)
+    assert payload_words(payload, 5) == payload_words(("tag", [1, 2, 3, 2**40]), 5) == 13

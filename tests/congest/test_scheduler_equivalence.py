@@ -19,7 +19,6 @@ from repro.congest import (
     CrashWindow,
     FaultPlan,
     NodeProgram,
-    PayloadMeter,
     RoundLimitExceededError,
     RoundMetrics,
     default_scheduler,
@@ -399,29 +398,38 @@ class TestFaultEquivalence:
 
 
 class TestPayloadMeter:
-    """The memo cache must never conflate equal-comparing payloads of
-    different types — ``2 == 2.0 == True`` but they measure differently."""
-
-    def test_type_aware_keys(self):
-        meter = PayloadMeter(bits_per_word=7)
-        for payload in (2, 2.0, True, ("x", 2), ("x", 2.0), ("x", True)):
-            assert meter(payload) == payload_words(payload, 7), payload
-            # and again, from the cache
-            assert meter(payload) == payload_words(payload, 7), payload
+    """The network measures each posted payload as it is when posted: no
+    memo stands between a payload and its word count, under either
+    scheduler."""
 
     def test_unhashable_payloads_measured_uncached(self):
-        meter = PayloadMeter(bits_per_word=7)
-        payload = ("list", [1, 2, 3])
-        assert meter(payload) == payload_words(payload, 7)
-        assert meter(payload) == payload_words(payload, 7)
+        class GrowingList(NodeProgram):
+            """Node 0 sends one list, appending to it after each ack."""
 
-    def test_cache_is_capped(self):
-        class TinyMeter(PayloadMeter):
-            MAX_ENTRIES = 4
+            def __init__(self, node_id, neighbors):
+                super().__init__(node_id, neighbors)
+                self.items = [0]
+                self.done = True
 
-        meter = TinyMeter(bits_per_word=7)
-        for i in range(10):
-            meter(("k", i))
-        assert len(meter._cache) <= 4
-        # uncached values still measure correctly
-        assert meter(("k", 9)) == payload_words(("k", 9), 7)
+            def on_start(self):
+                return {1: ("list", self.items)} if self.node_id == 0 else {}
+
+            def on_round(self, round_no, inbox):
+                if not inbox:
+                    return {}
+                if self.node_id == 1:
+                    return {0: "ack"}
+                if len(self.items) == 4:
+                    return {}
+                self.items.append(len(self.items))
+                return {1: ("list", self.items)}
+
+        g = generators.path_graph(2)
+        bits = CongestNetwork(g).word_bits
+        lists = [("list", list(range(k))) for k in range(1, 5)]
+        words = sum(payload_words(p, bits) for p in lists) + 4 * payload_words("ack", bits)
+        assert len({payload_words(p, bits) for p in lists}) == 4
+
+        (_, md), (_, me) = both_schedulers(lambda m: run_program(g, GrowingList, metrics=m))
+        assert (md.messages, md.total_words) == (8, words)
+        assert fingerprint(md) == fingerprint(me)

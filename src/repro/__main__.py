@@ -241,16 +241,6 @@ def main(argv: list[str] | None = None) -> int:
                              "re-certify per operation)")
     parser.add_argument("--bandwidth", type=int, default=1, metavar="W",
                         help="CONGEST words per edge per round (default 1)")
-    parser.add_argument("--shard-stats", action="store_true", dest="shard_stats",
-                        help="include the sharded backend's dispatch "
-                             "accounting under \"shard_stats\" in the --json "
-                             "report (off by default: to_report() stays "
-                             "bit-identical across --shard-workers settings)")
-    parser.add_argument("--shard-workers", type=int, default=0, metavar="K",
-                        dest="shard_workers",
-                        help="embed large hanging subtrees in K worker "
-                             "processes (default 0 = sequential); output is "
-                             "bit-identical at every setting")
     parser.add_argument("--faults", metavar="SPEC",
                         help="run self-healing under a deterministic chaos "
                              "schedule, e.g. drop=0.05,dup=0.01,delay=0.1:2,"
@@ -291,8 +281,8 @@ def main(argv: list[str] | None = None) -> int:
                              "ui.perfetto.dev)")
     args = parser.parse_args(argv)
 
-    if args.shard_workers < 0:
-        parser.error("--shard-workers must be >= 0")
+    if args.bandwidth < 1:
+        parser.error("--bandwidth must be >= 1")
     if args.view_trace is not None:
         if args.edgelist is not None or args.demo is not None:
             parser.error("--view-trace takes no network input")
@@ -430,7 +420,6 @@ def main(argv: list[str] | None = None) -> int:
                 bandwidth_words=args.bandwidth,
                 tracer=tracer,
                 certify=certify,
-                shard_workers=args.shard_workers,
             )
             result = driver.run()
             say("algorithm: Theorem 1.1 distributed planar embedding")
@@ -624,11 +613,6 @@ def main(argv: list[str] | None = None) -> int:
             report["tamper_suite"] = suite.to_dict()
         if churn_report is not None:
             report["churn"] = churn_report.to_dict()
-        if args.shard_stats:
-            # Opt-in only, and added here rather than in to_report():
-            # the canonical report must stay bit-identical across
-            # --shard-workers settings (serve-layer cache contract).
-            report["shard_stats"] = getattr(result, "shard_stats", None)
         if profile_rows is not None:
             report["profile"] = profile_rows
         print(json.dumps(report, default=repr))

@@ -14,10 +14,9 @@ every divergence up to a limit, first divergence first, each with its
 **ancestry path** — the chain of spans from the root down to the
 divergent span, which for a causal trace is exactly the recursive-call
 ancestry of the divergent message batch.  "The ledgers match" becomes
-"here is the first charge where they diverge", which is the
-bit-identical-behavior proof obligation of the planned sharded backend
-(ROADMAP item 1), and the CI golden-trace gate against silent
-trace-format drift.
+"here is the first charge where they diverge", which is the proof
+obligation of every behavior-preserving optimization, and the CI
+golden-trace gate against silent trace-format drift.
 
 Exit-code contract of the ``repro trace-diff`` CLI built on this:
 ``0`` identical, ``1`` divergent, ``2`` unreadable/malformed input.

@@ -221,12 +221,9 @@ class RoundMetrics:
         """The ledger as plain data (JSON-ready): totals, the per-phase
         breakdown, and every charge with its provenance.
 
-        This is also the cross-process wire format of the sharded
-        backend (:mod:`repro.shard`): workers return each branch ledger
-        as ``to_dict()`` and the parent rebuilds it with
-        :meth:`from_dict` before ``absorb_parallel`` folds live and
-        deserialized branches together — the round-trip must therefore
-        stay exact for every field ``absorb_parallel`` reads."""
+        :meth:`from_dict` inverts it exactly for every field
+        ``absorb_parallel`` reads, so a ledger saved to JSON folds back
+        into a live one unchanged."""
         return {
             "rounds": self.rounds,
             "messages": self.messages,
@@ -243,8 +240,8 @@ class RoundMetrics:
     def from_dict(cls, d: dict[str, Any]) -> "RoundMetrics":
         """Inverse of :meth:`to_dict` (the derived ``phases`` view and the
         observer slot are not part of the round-tripped value; a
-        deserialized shard-worker branch therefore never notifies a
-        tracer, matching ``absorb_parallel``, which never does either)."""
+        deserialized ledger therefore never notifies a tracer, matching
+        ``absorb_parallel``, which never does either)."""
         return cls(
             rounds=d["rounds"],
             messages=d["messages"],

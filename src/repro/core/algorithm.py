@@ -74,11 +74,6 @@ class EmbeddingResult:
     split_tests: int = 0  # multi-edge bundle split validations run
     split_rejections: int = 0  # splits rolled back as planarity-breaking
     split_oracle: dict | None = None  # scoped-oracle counters (None = reference path)
-    # Dispatch accounting of the sharded backend (None = sequential run).
-    # Deliberately NOT part of to_report(): reports stay bit-identical
-    # across shard_workers settings, which the serve-layer result cache
-    # and the differential suite both rely on.
-    shard_stats: dict | None = None
     heal_attempts: int = 0  # self-healing attempts consumed (0 = plain run)
     heal_log: list[str] = field(default_factory=list)  # what healing saw and did
     fault_stats: dict | None = None  # chaos-layer counters (None = no fault plan)
@@ -254,7 +249,6 @@ class DistributedPlanarEmbedding:
         tracer: Tracer | None = None,
         certify: bool = False,
         causal: "CausalRecorder | None" = None,
-        shard_workers: int = 0,
     ) -> None:
         """``bandwidth_words`` is the per-edge word budget used in the
         pipelined round charges (CONGEST's ``O(log n)`` bits = O(1)
@@ -270,13 +264,7 @@ class DistributedPlanarEmbedding:
         rounds, all charged to the same ledger and trace.  ``causal`` (a
         :class:`repro.obs.causal.CausalRecorder`) installs message-level
         causal tracing for every network the run creates; the
-        critical-path report lands on ``EmbeddingResult.causal``.
-        ``shard_workers`` >= 2 dispatches large hanging subtrees of the
-        recursion to a process pool (:mod:`repro.shard`); 0 and 1 run
-        the plain sequential path.  Outputs are bit-identical either
-        way; sharding silently stays off under reference paths, fault
-        injection, or causal recording (those layers observe per-message
-        state that cannot cross a process boundary)."""
+        critical-path report lands on ``EmbeddingResult.causal``."""
         if graph.num_nodes == 0:
             raise ValueError("cannot embed an empty network")
         if not graph.is_connected():
@@ -288,18 +276,16 @@ class DistributedPlanarEmbedding:
         self.tracer = tracer
         self.certify = certify
         self.causal = causal
-        if shard_workers < 0:
-            raise ValueError("shard_workers must be >= 0")
-        self.shard_workers = shard_workers
         self.last_metrics: RoundMetrics | None = None  # set by run(), kept on failure
 
     def run(self) -> EmbeddingResult:
         from .parts import reset_part_ids
 
         # Pipeline part IDs are recursion-path tuples and copy serials
-        # are per-merge-driver, both reproducible from any process; the
-        # int allocator only backs standalone ``fresh_part`` callers,
-        # and is reset so their runs stay repeatable too.
+        # are per-merge-driver, both functions of the input rather than
+        # of allocation history; the int allocator only backs standalone
+        # ``fresh_part`` callers, and is reset so their runs stay
+        # repeatable too.
         reset_part_ids()
         graph = self.graph
         tracer = self.tracer
@@ -379,14 +365,7 @@ class DistributedPlanarEmbedding:
             splitter_strategy=self.splitter_strategy,
             tracer=tracer,
         )
-        shard_runtime = self._make_shard_runtime(ctx)
-        ctx.shard = shard_runtime
-        try:
-            part, recursion_metrics = embed_subtree(ctx, leader, level=0)
-        finally:
-            shard_stats = (
-                shard_runtime.shutdown() if shard_runtime is not None else None
-            )
+        part, recursion_metrics = embed_subtree(ctx, leader, level=0)
         metrics.absorb_serial(recursion_metrics)
         split_oracle = ctx.split_oracle_stats()
         if part.boundary:  # pragma: no cover - invariant
@@ -424,30 +403,6 @@ class DistributedPlanarEmbedding:
             split_tests=ctx.split_tests,
             split_rejections=ctx.split_rejections,
             split_oracle=split_oracle,
-            shard_stats=shard_stats,
-        )
-
-    def _make_shard_runtime(self, ctx: RecursionContext):
-        """A :class:`~repro.shard.dispatch.ShardRuntime` for this run, or
-        ``None`` when sharding is off or cannot be bit-identical.
-
-        Fault injection and causal recording intercept individual
-        message deliveries — per-process state a worker cannot share —
-        and the reference paths exist precisely to be the single-process
-        yardstick, so all three force the sequential path.
-        """
-        if self.shard_workers < 2 or ctx.reference_paths:
-            return None
-        if default_fault_injector() is not None:
-            return None
-        if self.causal is not None or default_causal_recorder() is not None:
-            return None
-        from ..shard.dispatch import ShardRuntime
-
-        return ShardRuntime(
-            workers=self.shard_workers,
-            total_n=ctx.graph.num_nodes,
-            traced=self.tracer is not None,
         )
 
     @staticmethod
@@ -485,12 +440,11 @@ def distributed_planar_embedding(
     tracer: Tracer | None = None,
     certify: bool = False,
     causal: "CausalRecorder | None" = None,
-    shard_workers: int = 0,
 ) -> EmbeddingResult:
     """Convenience wrapper around :class:`DistributedPlanarEmbedding`."""
     return DistributedPlanarEmbedding(
         graph, bandwidth_words=bandwidth_words, verify=verify, tracer=tracer,
-        certify=certify, causal=causal, shard_workers=shard_workers,
+        certify=certify, causal=causal,
     ).run()
 
 

@@ -46,12 +46,6 @@ _BLOCK_ORDER_MEMO: dict[tuple, tuple] = {}
 _BLOCK_ORDER_MAX_ENTRIES = 4096
 
 
-def clear_caches() -> None:
-    """Drop the block-order memo (see ``repro.shard.caches.clear_caches``:
-    forked workers start with process-private caches)."""
-    _BLOCK_ORDER_MEMO.clear()
-
-
 class SkeletonError(RuntimeError):
     """The skeleton construction hit an inconsistent part embedding."""
 

@@ -42,8 +42,8 @@ HalfEdge = tuple  # (inside endpoint, outside target)
 # allocator below (standalone construction, tests, the baseline) or a
 # recursion-path tuple assigned by ``embed_subtree`` (the pipeline).
 # Path tuples are globally unique *by position in the recursion tree*,
-# which is what lets shard workers mint the same IDs the sequential
-# path would — no cross-process counter to coordinate.  Both kinds are
+# so an ID is a function of the input, not of allocation history, and
+# the tie-breaks that read it are reproducible.  Both kinds are
 # mutually comparable within one merge (a merge only ever sees one
 # kind), and every tie-break below (min/max/sorted) is kind-agnostic.
 PartId = "int | tuple"

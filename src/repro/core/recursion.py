@@ -77,9 +77,6 @@ class RecursionContext:
     reference_paths: bool | None = None  # None -> from REPRO_REFERENCE_PATHS
     index: RecursionIndex | None = None  # shared subtree stats (optimized path)
     oracle: ScopedPlanarityOracle | None = None  # scoped split validation
-    shard: "object | None" = None  # ShardRuntime when multi-process dispatch is on
-    split_log: list | None = None  # worker-side journal of try_split calls
-    mutation_epoch: int = 0  # bumped per accepted split; keys snapshot caches
 
     def __post_init__(self) -> None:
         if self.current is None:
@@ -120,11 +117,6 @@ class RecursionContext:
         restored *exactly* — including adjacency insertion order, which
         downstream iteration depends on for determinism — from dict
         snapshots of the touched vertices.
-
-        In a shard worker every call is journaled to ``split_log``
-        (mutation + verdict); the parent replays the journal against its
-        authoritative graph and falls back to an inline recompute on any
-        verdict divergence (see :mod:`repro.shard.dispatch`).
         """
         g = self.current
         adj = g._adj
@@ -141,9 +133,6 @@ class RecursionContext:
             # Edge subdivision: planarity-invariant, always kept.
             if self.oracle is not None:
                 self.oracle.note_subdivision(copy, coordinator, rerouted[0])
-            self.mutation_epoch += 1
-            if self.split_log is not None:
-                self.split_log.append((copy, coordinator, tuple(rerouted), True))
             return True
         self.split_tests += 1
         if self.oracle is not None:
@@ -153,18 +142,11 @@ class RecursionContext:
 
             ok = lr_planarity(g) is not None
         if ok:
-            self.mutation_epoch += 1
-            if self.split_log is not None:
-                self.split_log.append((copy, coordinator, tuple(rerouted), True))
             return True
         del adj[copy]
         for u, neighbors in snapshot.items():
             adj[u] = neighbors
         self.split_rejections += 1
-        if self.split_log is not None:
-            # Rejected tests still advance counters and oracle memo
-            # state, so the parent must replay them too.
-            self.split_log.append((copy, coordinator, tuple(rerouted), False))
         return False
 
 
@@ -196,8 +178,8 @@ def embed_subtree(
     as the part ID of everything this call creates: the leaf/P0 parts
     take ``path`` itself and child parts take ``path + (j,)``, so the
     merged representative (the minimum ID) is again ``path``.  Position
-    is computable in any process, which is what lets shard workers mint
-    bit-identical IDs without a shared allocator.
+    is a function of the input alone, not of allocation history, so the
+    IDs (and the tie-breaks that read them) are reproducible run to run.
 
     When ``ctx.tracer`` is set, the call is wrapped in a ``call`` span
     (``parallel=True``: sibling calls embed vertex-disjoint parts, so
@@ -205,12 +187,6 @@ def embed_subtree(
     phase span, the child call spans, and a ``merge`` span; the local
     ledger's observer is pointed at the tracer so real rounds and
     charges attribute themselves to whichever span is open.
-
-    When ``ctx.shard`` is set (a :class:`repro.shard.dispatch.ShardRuntime`),
-    large hanging subtrees are embedded in worker processes while this
-    process handles the small ones inline; results are consumed in the
-    canonical ``hanging_roots`` order, so every ledger, rotation, and
-    trace structure is bit-identical to the sequential path.
     """
     tracer = ctx.tracer
     metrics = RoundMetrics()
@@ -298,26 +274,13 @@ def embed_subtree(
         )
 
         # --- parallel recursion on the hanging subtrees. ---------------------
-        # With a shard runtime, large subtrees are shipped to worker
-        # processes up front and the loop below *consumes* strictly in
-        # canonical order (shipped results overlap with the inline
-        # work); without one, the loop is the plain sequential path.
-        plan = (
-            ctx.shard.plan_children(ctx, hanging_roots, level + 1, path)
-            if ctx.shard is not None
-            else None
-        )
+        # The subtrees are vertex-disjoint, so their executions interleave
+        # in the CONGEST model; the host runs them in canonical order and
+        # the ledger charges the branches as a max.
         parts: list[PartEmbedding] = []
         branch_metrics: list[RoundMetrics] = []
         for j, w in enumerate(hanging_roots):
-            child_path = path + (j,)
-            ticket = plan.get(w) if plan is not None else None
-            if ticket is not None:
-                part, branch = ctx.shard.consume(
-                    ctx, ticket, w, level + 1, child_path
-                )
-            else:
-                part, branch = embed_subtree(ctx, w, level + 1, child_path)
+            part, branch = embed_subtree(ctx, w, level + 1, path + (j,))
             parts.append(part)
             branch_metrics.append(branch)
         metrics.absorb_parallel(branch_metrics, phase="recursion")

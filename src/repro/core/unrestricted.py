@@ -57,8 +57,8 @@ __all__ = ["UnrestrictedMergeStats", "unrestricted_path_merge"]
 # process-global counter: every part ID active in a driver belongs to
 # exactly one merge (recursion-path IDs are globally unique), so
 # ``(coordinator, pid, serial)`` stays unique network-wide while the
-# numbering is reproducible from any process — the property the sharded
-# backend's bit-identical contract rests on.
+# numbering depends only on the merge itself, not on how many copies
+# earlier merges allocated.
 
 
 @dataclass

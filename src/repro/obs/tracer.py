@@ -164,27 +164,6 @@ class Span:
             "events": [e.to_dict() for e in self.events],
         }
 
-    def to_tree_dict(self) -> dict[str, Any]:
-        """Like :meth:`to_dict` but with the children nested in place —
-        the wire format a shard worker ships its span subtree in (the
-        flat JSONL form needs stable global span IDs, which a worker
-        cannot mint)."""
-        d = self.to_dict()
-        d["children"] = [c.to_tree_dict() for c in self.children]
-        return d
-
-    @classmethod
-    def from_tree_dict(cls, d: dict[str, Any]) -> "Span":
-        """Inverse of :meth:`to_tree_dict`."""
-        children = d.get("children", [])
-        _require(
-            isinstance(children, list),
-            f"trace span tree: children must be a list, got {type(children).__name__}",
-        )
-        sp = cls.from_dict(d)
-        sp.children = [cls.from_tree_dict(c) for c in children]
-        return sp
-
     @classmethod
     def from_dict(cls, d: dict[str, Any]) -> "Span":
         _require(isinstance(d, dict), f"trace span is not an object: {d!r}")
@@ -363,41 +342,6 @@ class Tracer:
                 },
             )
         )
-
-    # -- cross-process span reparenting ------------------------------------
-
-    def graft(self, tree: dict[str, Any]) -> Span:
-        """Adopt a span subtree recorded by another process.
-
-        ``tree`` is a :meth:`Span.to_tree_dict` payload from a shard
-        worker's private tracer.  The subtree is attached under the
-        currently open span (or as a root), its span IDs are re-minted
-        from this tracer's allocator in DFS preorder — exactly the IDs
-        the spans would have received had they been recorded here — and
-        its wall-clock offsets are shifted so the subtree nests inside
-        the open span's timeline.  Structure, attrs, events, and round
-        accounting are adopted verbatim; wall times reflect *this*
-        process's graft point (structural trace comparison ignores
-        wall clocks — see :mod:`repro.analysis.tracediff`).
-        """
-        sp = Span.from_tree_dict(tree)
-        offset = self._now() - sp.start_s
-        parent_id = self._stack[-1].span_id if self._stack else None
-
-        def adopt(span: Span, parent: int | None) -> None:
-            span.span_id = next(self._ids)
-            span.parent_id = parent
-            span.start_s += offset
-            if span.end_s is not None:
-                span.end_s += offset
-            for ev in span.events:
-                ev.wall_s += offset
-            for child in span.children:
-                adopt(child, span.span_id)
-
-        adopt(sp, parent_id)
-        (self._stack[-1].children if self._stack else self.roots).append(sp)
-        return sp
 
     # -- export ------------------------------------------------------------
 

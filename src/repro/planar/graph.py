@@ -33,13 +33,6 @@ _SORT_KEY_CACHE: dict = {}
 _SORT_KEY_MAX_ENTRIES = 1 << 16
 
 
-def clear_caches() -> None:
-    """Drop the sort-key cache (see ``repro.shard.caches.clear_caches``:
-    forked workers start with process-private caches, not copy-on-write
-    snapshots of the parent's)."""
-    _SORT_KEY_CACHE.clear()
-
-
 def sort_key(node: NodeId) -> str:
     """Canonical deterministic ordering key for nodes: cached ``repr``.
 

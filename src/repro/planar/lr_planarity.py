@@ -74,20 +74,6 @@ _EMBED_MEMO: dict[tuple, tuple[tuple[int, ...], ...] | None] = {}
 _MEMO_MAX_ENTRIES = 1 << 12
 
 
-def clear_caches() -> None:
-    """Drop the structural memo tables.
-
-    The memos are process-global pure caches (verdicts and int-level
-    rotations keyed by relabeled structure), so sharing them is always
-    *correct* — but a forked shard worker should start from an empty,
-    process-private state rather than a copy-on-write snapshot of the
-    parent's tables.  Worker initializers call this via
-    :func:`repro.shard.caches.clear_caches`.
-    """
-    _DECIDE_MEMO.clear()
-    _EMBED_MEMO.clear()
-
-
 def _memo_decide(graph: Graph) -> bool:
     solver = _LRPlanarity(graph)
     key = tuple(map(tuple, solver.adj))

@@ -66,13 +66,9 @@ class ScopedPlanarityOracle:
     graph.
 
     All state — counters, ``known_planar``, the rotation and the
-    region-verdict memo — is **per instance**, never module-global, so
-    it is per-process by construction: shard workers build a fresh
-    oracle over their decoded graph snapshot and the parent regenerates
-    authoritative counters, rotation and memo contents by replaying the
-    worker's split journal (see :mod:`repro.shard.dispatch`).  Keep it
-    that way: a process-global memo here would silently leak parent
-    state into forked workers.
+    region-verdict memo — is **per instance**, never module-global:
+    the memo keys on regions of one evolving graph, so sharing it
+    across runs would let one run's history change another's counters.
     """
 
     MEMO_MAX_ENTRIES = 4096
@@ -87,20 +83,6 @@ class ScopedPlanarityOracle:
         # A planar rotation of ``graph`` (vertex -> clockwise neighbor
         # tuple), or None until the next scoped query builds one.
         self.rotation: dict[NodeId, tuple[NodeId, ...]] | None = None
-
-    def snapshot_state(self) -> tuple:
-        """The oracle's full mutable state, for exact rollback."""
-        return (
-            self.known_planar, self.full_tests, self.scoped_tests,
-            self.memo_hits, dict(self._memo), _copy(self.rotation),
-        )
-
-    def restore_state(self, state: tuple) -> None:
-        """Inverse of :meth:`snapshot_state` (in place)."""
-        (self.known_planar, self.full_tests, self.scoped_tests,
-         self.memo_hits, memo, rotation) = state
-        self._memo = dict(memo)
-        self.rotation = _copy(rotation)
 
     def stats(self) -> dict[str, int]:
         return {
@@ -221,12 +203,6 @@ class ScopedPlanarityOracle:
                         if a == u and b == v:
                             break
         return region, frozenset(key_edges)
-
-
-def _copy(rotation: dict | None) -> dict | None:
-    # Rings are tuples, replaced rather than mutated: a shallow copy is
-    # an independent snapshot.
-    return None if rotation is None else dict(rotation)
 
 
 def _split_vertex(

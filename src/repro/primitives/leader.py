@@ -18,10 +18,9 @@ Two executions of the same protocol:
   max, forward on improvement), so the ledger — rounds, messages,
   words, max edge load, activations, saved activations, phase tags,
   and observer callbacks — can be emitted without instantiating n
-  programs or shuffling per-edge inboxes.  It is the dominant
-  constant-factor win for the sharded backend (E20): leader election
-  is ~40% of a sequential grid run's wall clock and is inherently
-  serial, so Amdahl makes everything else moot unless it shrinks.
+  programs or shuffling per-edge inboxes.  It is a large
+  constant-factor win: under the simulator, leader election was ~40%
+  of a grid run's wall clock (measured in E20), all of it serial.
 
 ``tests/primitives/test_leader_fast_path.py`` proves both paths emit
 bit-identical ledgers differentially.

@@ -40,12 +40,6 @@ def _add_common_options(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--workers", type=int, default=1, metavar="N",
                         help="pool worker processes (default 1; 0 = inline "
                              "sequential, the reference driver)")
-    parser.add_argument("--shard-workers", type=int, default=0, metavar="K",
-                        dest="shard_workers",
-                        help="recursion worker processes per job (default 0 = "
-                             "sequential; results are bit-identical either "
-                             "way; clamped with a warning when workers x K "
-                             "oversubscribes the machine)")
     parser.add_argument("--no-cache", action="store_true", dest="no_cache",
                         help="disable the result cache and single-flight "
                              "coalescing: every job computes")
@@ -90,8 +84,6 @@ def _add_common_options(parser: argparse.ArgumentParser) -> None:
 def _build(args: argparse.Namespace, parser: argparse.ArgumentParser) -> ServiceDriver:
     if args.workers < 0:
         parser.error("--workers must be >= 0")
-    if args.shard_workers < 0:
-        parser.error("--shard-workers must be >= 0")
     if args.cache_size < 1:
         parser.error("--cache-size must be >= 1")
     if args.no_cache and args.cache_file:
@@ -118,8 +110,7 @@ def _build(args: argparse.Namespace, parser: argparse.ArgumentParser) -> Service
         queue_limit=args.queue_limit,
     )
     return ServiceDriver(
-        workers=args.workers, cache=cache, shard_workers=args.shard_workers,
-        resilience=policy, chaos=chaos,
+        workers=args.workers, cache=cache, resilience=policy, chaos=chaos,
     )
 
 
@@ -257,11 +248,6 @@ def batch_cli(argv: list[str]) -> int:
     if driver.rstats.any:
         say("resilience: " + ", ".join(
             f"{k} {v}" for k, v in driver.rstats.to_dict().items() if v))
-    clamp = report["shard_clamp"]
-    if clamp is not None:
-        say(f"shard clamp: --shard-workers {clamp['requested']} -> "
-            f"{clamp['clamped']} ({clamp['workers']} pool workers on "
-            f"{clamp['cores']} cores)")
     if report["fault_stats"]:
         say("fault stats: " + ", ".join(
             f"{k} {v}" for k, v in sorted(report["fault_stats"].items()) if v))

@@ -39,9 +39,7 @@ from __future__ import annotations
 import asyncio
 import json
 import math
-import os
 import time
-import warnings
 from concurrent.futures import BrokenExecutor
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -109,7 +107,6 @@ def execute_job(payload: dict) -> dict:
     kind = payload.get("kind", "embed")
     config = payload.get("config", {})
     bandwidth = config.get("bandwidth", 1)
-    shard_workers = config.get("shard_workers", 0)
 
     try:
         if kind in ("embed", "certify"):
@@ -117,7 +114,6 @@ def execute_job(payload: dict) -> dict:
                 graph,
                 bandwidth_words=bandwidth,
                 certify=(kind == "certify"),
-                shard_workers=shard_workers,
             )
             record = {
                 "outcome": "ok",
@@ -263,64 +259,22 @@ class ServiceDriver:
     ``cache=None`` disables caching *and* single-flight coalescing
     (every job genuinely computes — what the cold side of the E19 bench
     measures).
-
-    ``shard_workers=K`` makes every embed/certify job that does not pick
-    its own value shard its recursion over K extra processes
-    (:mod:`repro.shard`).  The two pool layers multiply: ``workers``
-    jobs each spawning ``shard_workers`` recursion workers wants
-    ``workers * max(1, shard_workers)`` cores.  When that product
-    exceeds ``os.cpu_count()``, the driver clamps ``shard_workers`` to
-    the largest fitting value (possibly 0) and emits a
-    ``RuntimeWarning`` — oversubscribed process pools degrade *both*
-    layers' latency, and job-level parallelism is the better-amortized
-    of the two (one pickle per job vs. one snapshot per plan point).
-    Results are unaffected either way: the sharded path is
-    bit-identical to sequential execution.
     """
 
     def __init__(
         self,
         workers: int = 1,
         cache: ResultCache | None = None,
-        shard_workers: int = 0,
         resilience: ResiliencePolicy | None = None,
         chaos: ChaosPool | None = None,
     ) -> None:
         if workers < 0:
             raise ValueError("workers must be >= 0 (0 = inline sequential)")
-        if shard_workers < 0:
-            raise ValueError("shard_workers must be >= 0 (0 = sequential recursion)")
-        cores = os.cpu_count() or 1
-        budget = max(1, self.__class__._core_budget(workers, cores))
-        self.shard_clamp: dict | None = None
-        if shard_workers > budget and shard_workers > 1:
-            clamped = budget if budget >= 2 else 0
-            warnings.warn(
-                f"workers={workers} x shard_workers={shard_workers} oversubscribes"
-                f" {cores} cores; clamping shard_workers to {clamped}",
-                RuntimeWarning,
-                stacklevel=2,
-            )
-            # Kept for the aggregate report: stderr warnings vanish in
-            # automation, the --json report does not.
-            self.shard_clamp = {
-                "requested": shard_workers,
-                "clamped": clamped,
-                "workers": workers,
-                "cores": cores,
-            }
-            shard_workers = clamped
         self.workers = workers
         self.cache = cache
-        self.shard_workers = shard_workers
         self.resilience = resilience if resilience is not None else ResiliencePolicy()
         self.chaos = chaos
         self.rstats = ResilienceStats()
-
-    @staticmethod
-    def _core_budget(workers: int, cores: int) -> int:
-        """Cores left per job for recursion sharding."""
-        return cores // max(1, workers)
 
     # -- public API ------------------------------------------------------
 
@@ -493,12 +447,6 @@ class ServiceDriver:
         deadlines.  Worker-side failures come back as typed records and
         are never retried — they are deterministic job failures."""
         payload = job.payload()
-        # Apply the driver-level sharding default *after* the cache key
-        # was computed from job.config: sharding never changes results,
-        # so jobs served at different --shard-workers settings must keep
-        # sharing cache entries.  A job's own explicit value wins.
-        if self.shard_workers and "shard_workers" not in payload["config"]:
-            payload["config"]["shard_workers"] = self.shard_workers
         policy = self.resilience
         deadline = payload["config"].get("deadline_s", policy.deadline_s)
         attempts = 1 + policy.max_retries
@@ -666,7 +614,6 @@ class ServiceDriver:
             "cache": stats.to_dict() if stats is not None else None,
             "computed": stats.misses if stats is not None else len(outcomes),
             "resilience": self.rstats.to_dict(),
-            "shard_clamp": self.shard_clamp,
             "fault_stats": fault_stats or None,
             "wall_s": round(wall_s, 6),
             "jobs_per_s": round(len(outcomes) / wall_s, 3) if wall_s > 0 else None,

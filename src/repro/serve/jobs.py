@@ -29,27 +29,30 @@ Job object fields:
 ``seed``
     Seed for randomized ``demo`` families (default 0).
 ``config``
-    Optional dict: ``bandwidth`` (words/edge/round, default 1),
-    ``shard_workers`` (per-job recursion worker processes, default 0 =
-    sequential; see :mod:`repro.shard`), and ``deadline_s`` (per-attempt
-    wall-clock budget in seconds, overriding the driver's
-    ``--deadline``; see :mod:`repro.serve.resilience`) for all kinds;
-    ``faults`` (a chaos spec string), ``fault_seed``, and ``max_retries``
-    additionally for ``heal``; ``churn_ops`` (operation count, default
-    8), ``churn_seed`` (op-plan seed, default 0), and ``incremental``
-    (patch the dirty region vs full rebuild per op, default true)
-    additionally for ``churn``.  ``shard_workers`` never changes a
-    verdict — the sharded path is bit-identical — and is ignored under
-    fault injection, but an *explicit* value does enter the cache key
-    like any other config field, so omit it when cache sharing across
-    settings matters (the server-side default is applied after key
-    computation).  Unknown keys are rejected — a typo'd config silently
-    changing the cache key would be a debugging nightmare.
+    Optional dict: ``bandwidth`` (words/edge/round, default 1) and
+    ``deadline_s`` (per-attempt wall-clock budget in seconds, overriding
+    the driver's ``--deadline``; see :mod:`repro.serve.resilience`) for
+    all kinds; ``faults`` (a chaos spec string), ``fault_seed``, and
+    ``max_retries`` additionally for ``heal``; ``churn_ops`` (operation
+    count, default 8), ``churn_seed`` (op-plan seed, default 0), and
+    ``incremental`` (patch the dirty region vs full rebuild per op,
+    default true) additionally for ``churn``.  Unknown keys are
+    rejected — a typo'd config silently changing the cache key would be
+    a debugging nightmare — with one exception: ``shard_workers``, the
+    knob of the removed sharded recursion backend, is dropped with a
+    ``FutureWarning``, so old job files still run under the same cache
+    key as the job without it.
+
+Integer fields (``seed``, ``bandwidth``, ``fault_seed``,
+``max_retries``, ``churn_ops``, ``churn_seed``) reject JSON booleans:
+``true`` is an ``int`` to Python, but it would run as 1 under a cache
+key of its own.
 """
 
 from __future__ import annotations
 
 import json
+import warnings
 from dataclasses import dataclass, field
 from typing import IO, Iterable
 
@@ -60,7 +63,7 @@ __all__ = ["Job", "JobSpecError", "JOB_KINDS", "parse_job", "load_jobs", "config
 
 JOB_KINDS = ("embed", "certify", "heal", "churn")
 
-_COMMON_CONFIG = {"bandwidth", "shard_workers", "deadline_s"}
+_COMMON_CONFIG = {"bandwidth", "deadline_s"}
 _HEAL_CONFIG = {"faults", "fault_seed", "max_retries"}
 _CHURN_CONFIG = {"churn_ops", "churn_seed", "incremental"}
 
@@ -106,6 +109,18 @@ def config_key(config: dict) -> str:
     return json.dumps(config, sort_keys=True, separators=(",", ":"))
 
 
+def _check_int(index: int, name: str, value, minimum: int | None = None) -> None:
+    """Reject anything but an integer >= ``minimum`` — booleans included,
+    though Python counts them as ints."""
+    if (
+        isinstance(value, bool)
+        or not isinstance(value, int)
+        or (minimum is not None and value < minimum)
+    ):
+        bound = "" if minimum is None else f" >= {minimum}"
+        raise JobSpecError(f"job {index}: {name} must be an integer{bound}")
+
+
 def _check_node(value) -> NodeId:
     if not isinstance(value, (int, str)):
         raise JobSpecError(
@@ -128,8 +143,7 @@ def parse_job(obj: dict, index: int = 0) -> Job:
     if ("edges" in obj) == ("demo" in obj):
         raise JobSpecError(f"job {index}: provide exactly one of 'edges' or 'demo'")
     seed = obj.get("seed", 0)
-    if not isinstance(seed, int):
-        raise JobSpecError(f"job {index}: 'seed' must be an integer")
+    _check_int(index, "'seed'", seed)
     if "demo" in obj:
         spec = obj["demo"]
         if not isinstance(spec, list) or not spec:
@@ -164,20 +178,23 @@ def parse_job(obj: dict, index: int = 0) -> Job:
     supplied = obj.get("config", {})
     if not isinstance(supplied, dict):
         raise JobSpecError(f"job {index}: 'config' must be an object")
+    if "shard_workers" in supplied:
+        # Left by job files from before the sharded backend's removal:
+        # dropped before keying, so the job shares the bare job's cache.
+        warnings.warn(
+            f"job {index} ({obj.get('id', f'job-{index}')!r}): ignoring "
+            "config.shard_workers (the sharded recursion backend was removed)",
+            FutureWarning,
+            stacklevel=2,
+        )
+        supplied = {k: v for k, v in supplied.items() if k != "shard_workers"}
     unknown = set(supplied) - allowed
     if unknown:
         raise JobSpecError(
             f"job {index}: unknown config keys for kind {kind!r}: {sorted(unknown)}"
         )
     config.update(supplied)
-    if not isinstance(config["bandwidth"], int) or config["bandwidth"] < 1:
-        raise JobSpecError(f"job {index}: config.bandwidth must be an integer >= 1")
-    # Optional on purpose (no default): an absent key keeps the cache
-    # key identical to pre-sharding job files.
-    if "shard_workers" in config and (
-        not isinstance(config["shard_workers"], int) or config["shard_workers"] < 0
-    ):
-        raise JobSpecError(f"job {index}: config.shard_workers must be an integer >= 0")
+    _check_int(index, "config.bandwidth", config["bandwidth"], 1)
     if "deadline_s" in config and (
         isinstance(config["deadline_s"], bool)
         or not isinstance(config["deadline_s"], (int, float))
@@ -187,15 +204,11 @@ def parse_job(obj: dict, index: int = 0) -> Job:
     if kind == "heal":
         if config["faults"] is not None and not isinstance(config["faults"], str):
             raise JobSpecError(f"job {index}: config.faults must be a spec string or null")
-        if not isinstance(config["fault_seed"], int):
-            raise JobSpecError(f"job {index}: config.fault_seed must be an integer")
-        if not isinstance(config["max_retries"], int) or config["max_retries"] < 0:
-            raise JobSpecError(f"job {index}: config.max_retries must be an integer >= 0")
+        _check_int(index, "config.fault_seed", config["fault_seed"])
+        _check_int(index, "config.max_retries", config["max_retries"], 0)
     if kind == "churn":
-        if not isinstance(config["churn_ops"], int) or config["churn_ops"] < 1:
-            raise JobSpecError(f"job {index}: config.churn_ops must be an integer >= 1")
-        if not isinstance(config["churn_seed"], int):
-            raise JobSpecError(f"job {index}: config.churn_seed must be an integer")
+        _check_int(index, "config.churn_ops", config["churn_ops"], 1)
+        _check_int(index, "config.churn_seed", config["churn_seed"])
         if not isinstance(config["incremental"], bool):
             raise JobSpecError(f"job {index}: config.incremental must be a boolean")
         if graph.num_nodes < 2:

@@ -127,87 +127,3 @@ def test_suite_exercises_split_validation(monkeypatch):
     assert tests > 0, "no family triggered a multi-edge bundle split test"
     assert rejections > 0, "no family triggered a split rejection/rollback"
     assert scoped > 0, "the scoped oracle never ran a block-scoped test"
-
-
-# -- the sharded axis (E20) --------------------------------------------------
-#
-# The multi-process recursion backend (repro.shard) must be just as
-# observationally invisible as the reference-path flip above: every
-# shard_workers setting yields bit-identical rotations, traces, and
-# ledgers.  REPRO_SHARD_MIN_SHIP is lowered so the tiny test families
-# genuinely ship subtrees to worker processes instead of planning
-# everything inline.
-
-SHARD_SETTINGS = (0, 1, 2, 4)
-
-
-@pytest.fixture
-def shard_env(monkeypatch):
-    monkeypatch.delenv("REPRO_REFERENCE_PATHS", raising=False)
-    monkeypatch.setenv("REPRO_SHARD_MIN_SHIP", "4")
-
-
-@pytest.mark.parametrize("family,make", FAMILIES, ids=[f for f, _ in FAMILIES])
-def test_sharded_matches_sequential(family, make, shard_env):
-    results = {
-        w: distributed_planar_embedding(make(), shard_workers=w)
-        for w in SHARD_SETTINGS
-    }
-    base = _fingerprint(results[0])
-    for w in SHARD_SETTINGS[1:]:
-        assert _fingerprint(results[w]) == base, f"shard_workers={w} diverged"
-    # 0 and 1 take the literal sequential path (no runtime at all).
-    assert results[0].shard_stats is None
-    assert results[1].shard_stats is None
-
-
-def test_sharded_certified_pipeline_matches_sequential(shard_env):
-    results = {
-        w: distributed_planar_embedding(grid_graph(5, 7), certify=True, shard_workers=w)
-        for w in SHARD_SETTINGS
-    }
-    assert results[0].certification is not None
-    assert results[0].certification.accepted
-    base = _fingerprint(results[0])
-    for w in SHARD_SETTINGS[1:]:
-        assert _fingerprint(results[w]) == base
-
-
-def test_sharded_suite_ships_and_replays(shard_env):
-    """The sweep must genuinely exercise the dispatch machinery: subtrees
-    adopted from workers AND split journals replayed — not a silent
-    all-inline pass, which would vacuously equal sequential."""
-    adopted = replayed = worker_errors = 0
-    for _, make in FAMILIES:
-        result = distributed_planar_embedding(make(), shard_workers=2)
-        stats = result.shard_stats
-        assert stats is not None
-        adopted += stats["subtrees_adopted"]
-        replayed += stats["splits_replayed"]
-        worker_errors += stats["fallback_worker_error"] + stats["fallback_skipped"]
-    assert adopted > 0, "no family shipped a subtree to a worker"
-    assert replayed > 0, "no worker split journal was ever replayed"
-    assert worker_errors == 0, "a deterministic worker errored"
-
-
-def test_sharded_trace_structurally_identical(shard_env, tmp_path):
-    from repro.analysis import diff_traces
-    from repro.obs import Tracer
-
-    paths = {}
-    for w in (0, 4):
-        tracer = Tracer()
-        distributed_planar_embedding(grid_graph(5, 7), tracer=tracer, shard_workers=w)
-        path = tmp_path / f"trace-{w}.jsonl"
-        with open(path, "w") as fp:
-            tracer.write_jsonl(fp)
-        paths[w] = path
-    report = diff_traces(paths[0], paths[4])
-    assert report["identical"], report
-
-
-def test_sharding_refused_under_reference_paths(monkeypatch):
-    monkeypatch.setenv("REPRO_REFERENCE_PATHS", "1")
-    monkeypatch.setenv("REPRO_SHARD_MIN_SHIP", "4")
-    result = distributed_planar_embedding(grid_graph(5, 7), shard_workers=4)
-    assert result.shard_stats is None

@@ -55,10 +55,31 @@ class TestJobParsing:
         {"demo": ["nosuch", 3]},  # unknown family
         {"edges": [[0, 1]], "config": {"bandwidth": 0}},  # bandwidth < 1
         {"edges": [[0, 1]], "id": 7},  # non-string id
+        # JSON booleans are Python ints; every integer field rejects them.
+        {"edges": [[0, 1]], "config": {"bandwidth": True}},
+        {"demo": ["maximal", 8], "seed": True},
+        {"edges": [[0, 1]], "kind": "heal", "config": {"fault_seed": False}},
+        {"edges": [[0, 1]], "kind": "heal", "config": {"max_retries": True}},
     ])
     def test_rejects(self, bad):
         with pytest.raises(JobSpecError):
             parse_job(bad)
+
+    @pytest.mark.parametrize("value", [2, -1, "x"])
+    def test_legacy_shard_workers_dropped_with_warning(self, value):
+        """Job files from before the sharded backend's removal still run,
+        under the cache key of the same job without the key."""
+        spec = {"demo": ["grid", 3, 3], "id": "old"}
+        bare = load_jobs([json.dumps(spec)])[0]
+        with pytest.warns(FutureWarning, match="'old'") as record:
+            (job,) = load_jobs([json.dumps({**spec, "config": {"shard_workers": value}})])
+        assert sum(issubclass(w.category, FutureWarning) for w in record) == 1
+        assert job.config == bare.config
+        assert config_key(job.config) == config_key(bare.config)
+
+    def test_legacy_shard_workers_leaves_other_keys_rejected(self):
+        with pytest.warns(FutureWarning), pytest.raises(JobSpecError, match="bogus"):
+            parse_job({"edges": [[0, 1]], "config": {"bogus": 1, "shard_workers": 2}})
 
     def test_load_jobs_skips_blanks_and_comments(self):
         lines = [
@@ -169,6 +190,8 @@ class TestChurnJobs:
         {"demo": ["grid", 3, 3], "kind": "churn", "config": {"incremental": 1}},
         {"demo": ["grid", 3, 3], "config": {"churn_ops": 4}},  # churn-only key on embed
         {"demo": ["grid", 3, 3], "kind": "churn", "config": {"faults": "drop=0.1"}},
+        {"demo": ["grid", 3, 3], "kind": "churn", "config": {"churn_ops": True}},
+        {"demo": ["grid", 3, 3], "kind": "churn", "config": {"churn_seed": False}},
     ])
     def test_churn_rejects(self, bad):
         with pytest.raises(JobSpecError):

@@ -264,19 +264,6 @@ class TestSupervisor:
 
 
 class TestAggregateSurfacing:
-    def test_shard_clamp_in_report(self):
-        import os
-
-        cores = os.cpu_count() or 1
-        with pytest.warns(RuntimeWarning):
-            driver = ServiceDriver(workers=cores, shard_workers=cores + 1)
-        report = driver.aggregate([], 1.0)
-        clamp = report["shard_clamp"]
-        assert clamp is not None
-        assert clamp["requested"] == cores + 1
-        assert clamp["workers"] == cores
-        assert clamp["cores"] == cores
-
     def test_fault_stats_summed_across_heal_jobs(self):
         jobs = load_jobs(
             json.dumps({

@@ -76,6 +76,14 @@ def test_bandwidth_flag(capsys):
     assert code == 0
 
 
+@pytest.mark.parametrize("extra", [[], ["--baseline"]], ids=["pipeline", "baseline"])
+@pytest.mark.parametrize("bandwidth", ["0", "-3"])
+def test_bandwidth_below_one_is_usage_error(bandwidth, extra):
+    with pytest.raises(SystemExit) as exc:
+        main(["--demo", "grid", "4", "4", "--bandwidth", bandwidth, *extra])
+    assert exc.value.code == 2
+
+
 class TestCertification:
     def test_certify_accepts_and_exits_zero(self, capsys):
         code = main(["--demo", "grid", "4", "4", "--certify", "--quiet"])
@@ -358,34 +366,3 @@ class TestChurn:
             main(["--demo", "grid", "4", "4", "--churn", "2", "--faults", "drop=0.01"])
         with pytest.raises(SystemExit):
             main(["--demo", "grid", "4", "4", "--churn", "2", "--certify-adversary"])
-
-
-class TestShardStats:
-    def test_hidden_by_default(self, capsys):
-        main(["--demo", "grid", "5", "5", "--shard-workers", "2", "--json", "--quiet"])
-        report = json.loads(capsys.readouterr().out)
-        assert "shard_stats" not in report
-
-    def test_surfaced_behind_flag(self, capsys):
-        main(["--demo", "grid", "5", "5", "--shard-workers", "2",
-              "--shard-stats", "--json", "--quiet"])
-        report = json.loads(capsys.readouterr().out)
-        assert report["shard_stats"] is not None
-        assert report["shard_stats"]["workers"] == 2
-
-    def test_sequential_run_reports_null(self, capsys):
-        main(["--demo", "grid", "4", "4", "--shard-stats", "--json", "--quiet"])
-        report = json.loads(capsys.readouterr().out)
-        assert "shard_stats" in report and report["shard_stats"] is None
-
-    def test_report_identical_modulo_shard_stats(self, capsys):
-        """The flag only *adds* a key: everything else stays bit-identical
-        (the serve-cache contract)."""
-        main(["--demo", "grid", "5", "5", "--shard-workers", "2",
-              "--shard-stats", "--json", "--quiet"])
-        with_stats = json.loads(capsys.readouterr().out)
-        main(["--demo", "grid", "5", "5", "--json", "--quiet"])
-        plain = json.loads(capsys.readouterr().out)
-        del with_stats["shard_stats"]
-        with_stats.pop("wall_s"), plain.pop("wall_s")
-        assert with_stats == plain

@@ -2,13 +2,13 @@
 
 The active-set scheduler (PR 3) wakes a node only when it has mail or
 asked to be woken, while staying metrics-identical to the dense
-reference loop.  This bench measures what that buys:
+reference policy.  This bench measures what that buys:
 
 * a scaling sweep over four planar families (n = 64 .. 4096) under the
   event scheduler, recording wall-clock, node activations, and the
-  activations *saved* versus dense polling (the dense loop's count is
-  exactly ``activations + saved`` — a conservation law the differential
-  suite in ``tests/congest`` proves);
+  activations *saved* versus dense polling (on these fault-free runs the
+  dense policy's count is exactly ``activations + saved`` — a
+  conservation law the differential suite in ``tests/congest`` proves);
 * a dense-vs-event differential on the n=1024 grid: both schedulers run
   the full pipeline, must agree on rounds/messages/words, and the event
   scheduler must touch >= 5x fewer nodes;

@@ -376,6 +376,22 @@ def main(argv: list[str] | None = None) -> int:
 
         profiler = cProfile.Profile()
         profiler.enable()
+
+    def finish() -> list[dict] | None:
+        """Close what the run opened and write its output files; every
+        exit that ran the pipeline calls this once.  Returns the profile
+        rows."""
+        overrides.close()
+        profile_rows = _stop_profiler(profiler)
+        _dump_trace(tracer, trace_sink)
+        _dump_flight(flight_recorder, args.flight)
+        if args.perfetto is not None:
+            from .obs import export_chrome_trace
+
+            export_chrome_trace(args.perfetto, spans=tracer, causal=causal_recorder)
+            say(f"perfetto trace written to {args.perfetto}")
+        return profile_rows
+
     t0 = time.perf_counter()
     driver = None
     churn_report = None
@@ -426,10 +442,7 @@ def main(argv: list[str] | None = None) -> int:
     except EmbeddingViolation as exc:
         # The computed output failed the centralized referee: an
         # algorithm bug, distinct from non-planar *input* (exit 1).
-        overrides.close()
-        _stop_profiler(profiler)
-        _dump_trace(tracer, trace_sink)
-        _dump_flight(flight_recorder, args.flight)
+        finish()
         say(f"result: EMBEDDING REJECTED — {exc}")
         if args.json:
             print(json.dumps({
@@ -442,11 +455,8 @@ def main(argv: list[str] | None = None) -> int:
             }))
         return 3
     except NonPlanarNetworkError:
-        overrides.close()
         wall_s = time.perf_counter() - t0
-        profile_rows = _stop_profiler(profiler)
-        _dump_trace(tracer, trace_sink)
-        _dump_flight(flight_recorder, args.flight)
+        profile_rows = finish()
         say("result: NOT PLANAR")
         witness = kuratowski_subgraph(graph)
         kind = classify_kuratowski(witness)
@@ -473,18 +483,9 @@ def main(argv: list[str] | None = None) -> int:
         elif profile_rows is not None:
             _print_profile(say, profile_rows)
         return 1
-    overrides.close()
     wall_s = time.perf_counter() - t0
-    profile_rows = _stop_profiler(profiler)
-
-    _dump_trace(tracer, trace_sink)
-    _dump_flight(flight_recorder, args.flight)
+    profile_rows = finish()
     causal_report = causal_recorder.report() if causal_recorder is not None else None
-    if args.perfetto is not None:
-        from .obs import export_chrome_trace
-
-        export_chrome_trace(args.perfetto, spans=tracer, causal=causal_recorder)
-        say(f"perfetto trace written to {args.perfetto}")
     if causal_report is not None and hasattr(result, "causal"):
         # A self-healing result's snapshot predates later executions;
         # the recorder's final report supersedes it.

@@ -4,16 +4,16 @@ Production networks drop, duplicate, delay, and corrupt messages, and
 crash nodes — none of which the failure-free CONGEST model of the paper
 admits.  This module is the chaos layer: a seeded :class:`FaultPlan`
 describes an adversarial schedule, and a per-network :class:`FaultState`
-applies it at the **single delivery hook** both scheduler loops share
-(``CongestNetwork._post_outbox_faulty``), so the dense and event-driven
-loops stay differentially testable under identical fault schedules.
+applies it at the simulator's **single delivery hook**
+(``CongestNetwork._post_outbox``), so the dense and event poll policies
+stay differentially testable under identical fault schedules.
 
 Determinism is the design center: every fault decision is a pure hash
 of ``(seed, kind, global round, sender, receiver)`` — no module-level
 ``random``, no RNG stream whose draws depend on iteration order — so
 
-* the same seed replays the same faults, message for message, on either
-  scheduler (their message streams are identical by construction);
+* the same seed replays the same faults, message for message, under
+  either policy (their message streams are identical by construction);
 * re-running a failed phase sees *different* draws, because fault time
   is **global**: a :class:`FaultInjector` threads one monotone round
   clock through every network an execution creates.  Crash windows and
@@ -419,9 +419,9 @@ class FaultState:
 
     def begin_round(self, round_no: int, in_flight: dict) -> dict:
         """Advance to ``round_no``: release due delayed frames into the
-        inboxes, then discard the inboxes of crashed receivers.  Both
-        scheduler loops call this — it is the round half of the shared
-        fault hook (the message half is the delivery hook)."""
+        inboxes, then discard the inboxes of crashed receivers.  The
+        round loop calls this — it is the round half of the fault hook
+        (the message half is the delivery hook)."""
         self._enter_round(round_no)
         due = self._delayed.pop(round_no, None)
         if due:
@@ -464,8 +464,8 @@ class FaultState:
                 if victim is not None and victim in self.graph:
                     crashed.add(victim)
         self._crashed = frozenset(crashed)
-        # Nodes whose crash window just ended: the event loop owes them
-        # one restart activation (the dense loop polls them regardless).
+        # Nodes whose crash window just ended: the round loop owes them
+        # one restart activation (the dense policy polls them regardless).
         self.restarted = (
             frozenset(previously_crashed - crashed) if previously_crashed else frozenset()
         )

@@ -37,8 +37,8 @@ class Charge:
     detail: str = ""
     messages: int = 0
     kind: str = "charge"  # "charge" | "real"
-    activations: int = 0  # node activations the scheduler spent
-    activations_saved: int = 0  # activations skipped vs the dense loop
+    activations: int = 0  # node activations the round loop spent
+    activations_saved: int = 0  # calls skipped vs polling every node
 
     def to_dict(self) -> dict[str, Any]:
         return {
@@ -74,8 +74,8 @@ class RoundMetrics:
     messages: int = 0
     total_words: int = 0
     max_words_edge_round: int = 0
-    node_activations: int = 0  # on_start/on_round calls the scheduler made
-    activations_saved: int = 0  # calls skipped vs a dense poll-everyone loop
+    node_activations: int = 0  # on_start/on_round calls the round loop made
+    activations_saved: int = 0  # calls skipped vs polling every node
     charges: list[Charge] = field(default_factory=list)
     phase_rounds: dict[str, int] = field(default_factory=dict)
     # Observability slot — not part of the ledger's value (excluded from
@@ -92,11 +92,11 @@ class RoundMetrics:
         self.max_words_edge_round = max(self.max_words_edge_round, max_edge_words)
 
     def record_activations(self, activated: int, saved: int) -> None:
-        """Record the scheduler's wall-clock work for one execution:
+        """Record the round loop's wall-clock work for one execution:
         ``activated`` program calls made, ``saved`` calls skipped relative
-        to the dense poll-every-node loop.  Scheduler cost accounting —
-        not part of the CONGEST round semantics (both schedulers produce
-        identical rounds/messages/words; only these two counters differ).
+        to calling every node every round.  Loop cost accounting, not
+        CONGEST round semantics: both poll policies produce identical
+        rounds/messages/words and the same sum of these two counters.
         """
         self.node_activations += activated
         self.activations_saved += saved

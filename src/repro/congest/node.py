@@ -9,14 +9,14 @@ edge, each at most ``B`` bits — the network enforces the bound).
 Scheduling contract
 -------------------
 
-The simulator supports two schedulers with identical CONGEST semantics
-(same round numbers, same messages, same metrics):
+The simulator's round loop has two poll policies with identical CONGEST
+semantics (same round numbers, same messages, same metrics):
 
-* the *dense* reference scheduler calls :meth:`on_round` on **every**
-  node every round — wall-clock cost Θ(n) per round;
-* the *event-driven* scheduler (the default) wakes a node only when its
-  inbox is non-empty or it asked to be woken — wall-clock cost
-  proportional to actual work.
+* the *dense* reference policy calls :meth:`on_round` on **every** node
+  every round — wall-clock cost Θ(n) per round;
+* the *event* policy (the default) wakes a node only when its inbox is
+  non-empty or it asked to be woken — wall-clock cost proportional to
+  actual work.
 
 A program opts into event-driven scheduling by setting the class
 attribute ``event_driven = True``.  Doing so is a promise: **calling
@@ -24,14 +24,14 @@ attribute ``event_driven = True``.  Doing so is a promise: **calling
 wakeup) would be a no-op** — it would return no messages and change no
 state.  Programs that genuinely need to observe silent rounds (e.g. to
 count rounds locally) keep ``self.needs_wakeup`` set to ``True`` while
-they do; the scheduler then wakes them every round, messages or not,
-exactly as the dense scheduler would.  Round numbers are global
-scheduler state, so a node sleeping through rounds still sees the true
+they do; the loop then wakes them every round, messages or not,
+exactly as the dense policy would.  Round numbers are global loop
+state, so a node sleeping through rounds still sees the true
 ``round_no`` on its next wakeup — round-number semantics never depend
-on the scheduler.
+on the policy.
 
 Unported programs (``event_driven = False``, the default) are polled
-every round by both schedulers, so existing programs keep working
+every round under both policies, so existing programs keep working
 unchanged.
 """
 

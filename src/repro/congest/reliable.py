@@ -240,7 +240,6 @@ def run_reliable(
     metrics: RoundMetrics | None = None,
     max_rounds: int = 1_000_000,
     phase: str | None = None,
-    scheduler: str | None = None,
     faults: FaultPlan | FaultInjector | None = None,
     initial_rto: int = 4,
     backoff: float = 2.0,
@@ -256,7 +255,6 @@ def run_reliable(
         graph,
         bandwidth_words=bandwidth_words + RELIABLE_HEADER_WORDS,
         metrics=metrics,
-        scheduler=scheduler,
         faults=faults,
     )
     programs = {

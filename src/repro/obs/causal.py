@@ -8,8 +8,8 @@ is the quantity the O(D·log n) analysis actually bounds, so this module
 makes it measurable.
 
 A :class:`CausalRecorder` attaches to the simulator's single delivery
-hook (``CongestNetwork._post_outbox``, shared by both scheduler loops)
-and maintains one Lamport chain-clock per node:
+hook (``CongestNetwork._post_outbox``, which the round loop posts every
+outbox through) and maintains one Lamport chain-clock per node:
 
 * **send**: a frame posted by ``v`` carries stamp ``L[v] + 1``;
 * **receive**: at the next round boundary the receiver merges
@@ -20,14 +20,14 @@ in one network execution is the length of the longest happens-before
 chain.  Because stamps are assigned from the post-merge clock of the
 sending round, the maximum can grow by at most one per round that
 carries traffic — hence ``critical_path <= real message rounds``
-structurally, on either scheduler, with or without a fault schedule.
+structurally, under either poll policy, with or without a fault schedule.
 On a fault-free run of a receive-driven protocol (flooding,
 convergecast, broadcast — everything the pipeline's primitives are)
 every round's frontier extends a maximal chain, so equality holds and
 is asserted by ``tests/obs/test_causal.py`` and the E18 bench.
 
-Round boundaries are observed without touching the round loops: both
-schedulers allocate a fresh in-flight dict per round and the previous
+Round boundaries are observed without touching the round loop: it
+allocates a fresh in-flight dict per round and the previous
 round's dict is still referenced (as the inbox map) while the next one
 is allocated, so consecutive rounds can never reuse an ``id`` — a
 change of in-flight dict identity at the delivery hook *is* the round

@@ -106,7 +106,7 @@ class Span:
     words: int = 0
     max_edge_words: int = 0
     activations: int = 0  # scheduler node activations (from real charges)
-    activations_saved: int = 0  # activations skipped vs the dense loop
+    activations_saved: int = 0  # calls skipped vs polling every node
     events: list[TraceEvent] = field(default_factory=list)
     children: list["Span"] = field(default_factory=list)
 

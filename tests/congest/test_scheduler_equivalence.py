@@ -1,20 +1,25 @@
-"""Differential suite: the event-driven scheduler is metrics-identical
-to the dense reference loop.
+"""Differential suite: the round loop is metrics-identical under the
+event and dense poll policies.
 
 Every program family, the certification round-trip, and the full
-``embed_planar`` pipeline run under both schedulers on the same inputs;
+``embed_planar`` pipeline run under both policies on the same inputs;
 results, round counts, message counts, word totals, and the per-phase
 breakdown must match exactly.  Activation counters are the *only*
-permitted divergence — they are what the event scheduler optimizes —
-and even those obey a conservation law (dense activations == event
-activations + event savings).
+permitted divergence — they are what the event policy optimizes — and
+even those obey a conservation law: ``node_activations +
+activations_saved`` is the same under both policies, and the dense
+policy saves only the calls it skips on crashed nodes
+(``FaultStats.crash_node_rounds``; zero on a fault-free run).
 """
 
 from __future__ import annotations
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from repro.congest import (
+    CongestError,
     CongestNetwork,
     CrashWindow,
     FaultPlan,
@@ -69,6 +74,61 @@ GRAPHS = {
     "maximal": lambda: generators.random_maximal_planar(24, seed=7),
     "tree": lambda: generators.random_tree(33, seed=1),
 }
+
+
+def _leader(graph, m):
+    return elect_leader(graph, metrics=m)
+
+
+def _bfs(graph, m):
+    t = build_bfs_tree(graph, max(graph.nodes()), metrics=m)
+    return (t.parent, t.children, t.depth_of)
+
+
+PRIMITIVES = {"leader": _leader, "bfs": _bfs}
+
+LOOP_BRANCH_PLANS = {
+    "A-round-1-crash": lambda victim: FaultPlan(
+        seed=8, crashes=(CrashWindow(1, 5, node=victim),)
+    ),
+    "B-crash-and-delays": lambda victim: FaultPlan(
+        seed=8, delay_rate=0.2, max_delay=3, crashes=(CrashWindow(1, 5, node=victim),)
+    ),
+    "C-drops": lambda victim: FaultPlan(seed=3, drop_rate=0.3),
+}
+
+# (node_activations, activations_saved) per policy.  In A and B the event
+# count includes the victim's one restart activation.
+LOOP_BRANCH_ACTIVATIONS = {
+    ("A-round-1-crash", "leader"): {"dense": (941, 4), "event": (498, 447)},
+    ("A-round-1-crash", "bfs"): {"dense": (451, 4), "event": (139, 316)},
+    ("B-crash-and-delays", "leader"): {"dense": (1361, 4), "event": (819, 546)},
+    ("B-crash-and-delays", "bfs"): {"dense": (801, 4), "event": (305, 500)},
+    ("C-drops", "leader"): {"dense": (8960, 0), "event": (2373, 6587)},
+    ("C-drops", "bfs"): {"dense": (2835, 0), "event": (654, 2181)},
+}
+
+
+def outcome(policy, plan, primitive, graph):
+    """One primitive on ``graph`` under ``plan`` and one poll policy.
+
+    Returns what the policies must agree on — the result, the ledger, the
+    fault history and ``activations + activations_saved`` — or, when the
+    run raises, the exception type and the fault history; plus the
+    ledger itself.
+    """
+    with scheduler_override(policy), fault_override(plan) as injector:
+        m = RoundMetrics()
+        try:
+            result = PRIMITIVES[primitive](graph, m)
+        except (CongestError, ValueError) as exc:
+            return {"raised": type(exc), "faults": injector.stats.to_dict()}, m
+    return {
+        "result": result,
+        "ledger": fingerprint(m),
+        "faults": injector.stats.to_dict(),
+        "activations+saved": m.node_activations + m.activations_saved,
+    }, m
 
 
 @pytest.mark.parametrize("family", sorted(GRAPHS))
@@ -156,8 +216,9 @@ class TestPipelineEquivalence:
         assert fingerprint(dense.metrics) == fingerprint(event.metrics)
 
     def test_activation_conservation(self):
-        """dense activations == event activations + event savings; the
-        dense loop never saves anything."""
+        """activations + savings agree across policies; on a fault-free
+        run the dense policy saves nothing, so its activations equal the
+        event policy's activations + savings."""
         graph = generators.grid_graph(6, 6)
         results = {}
         for scheduler in ("dense", "event"):
@@ -279,12 +340,12 @@ class TestSchedulingContract:
         (rd, md), (re_, me) = outcomes["dense"], outcomes["event"]
         assert rd == re_
         assert fingerprint(md) == fingerprint(me)
-        # a polled node is an activation in both loops: no savings at all
+        # a polled node is an activation under both policies: no savings
         assert me.activations_saved == 0
 
     def test_stalled_event_program_fails_fast(self):
         """Empty active set with undone programs raises immediately (the
-        dense loop would spin to max_rounds) and names the contract."""
+        dense policy would poll to max_rounds) and names the contract."""
         graph = generators.path_graph(3)
         with scheduler_override("event"):
             network = CongestNetwork(graph)
@@ -292,18 +353,15 @@ class TestSchedulingContract:
             with pytest.raises(RoundLimitExceededError, match="needs_wakeup"):
                 network.run(programs, phase="stuck")
 
-    def test_explicit_scheduler_beats_default(self):
+    def test_override_sets_policy_and_restores_default(self):
         graph = generators.path_graph(3)
         with scheduler_override("dense"):
             assert default_scheduler() == "dense"
-            network = CongestNetwork(graph, scheduler="event")
-            assert network.scheduler == "event"
+            assert CongestNetwork(graph).scheduler == "dense"
         assert default_scheduler() == "event"
+        assert CongestNetwork(graph).scheduler == "event"
 
     def test_unknown_scheduler_rejected(self):
-        graph = generators.path_graph(2)
-        with pytest.raises(ValueError):
-            CongestNetwork(graph, scheduler="lazy")
         with pytest.raises(ValueError):
             with scheduler_override("lazy"):
                 pass  # pragma: no cover
@@ -311,12 +369,12 @@ class TestSchedulingContract:
 
 class TestFaultEquivalence:
     """The chaos layer rides the single shared delivery hook, so an
-    identical :class:`FaultPlan` replayed on both scheduler loops must
+    identical :class:`FaultPlan` replayed under both poll policies must
     produce identical ledgers, identical results, and an identical fault
     history — the differential property the satellite demands.
 
     Every run constructs a *fresh* plan (and hence a fresh injector with
-    its clock at zero), so both loops see the very same global-round
+    its clock at zero), so both policies see the very same global-round
     fault draws.
     """
 
@@ -375,6 +433,69 @@ class TestFaultEquivalence:
         assert fingerprint(md) == fingerprint(me)
         assert sd == se
         assert sd["crash_node_rounds"] > 0
+        # The activation law under a crash window: the dense policy skips
+        # the crashed node and reports those calls as saved.
+        assert (
+            md.node_activations + md.activations_saved
+            == me.node_activations + me.activations_saved
+        )
+        assert md.activations_saved == sd["crash_node_rounds"]
+
+    @pytest.mark.parametrize("primitive", sorted(PRIMITIVES))
+    @pytest.mark.parametrize("case", sorted(LOOP_BRANCH_PLANS))
+    def test_loop_branches_agree(self, case, primitive):
+        """Crash before round 1 (A), delays maturing across silent rounds
+        (B), frames dropped in flight (C): one loop, both policies."""
+        graph = GRAPHS["grid"]()
+        victim = sorted(graph.nodes())[7]
+        (dense, dense_m), (event, event_m) = (
+            outcome(policy, LOOP_BRANCH_PLANS[case](victim), primitive, graph)
+            for policy in ("dense", "event")
+        )
+        assert "raised" not in dense
+        assert dense == event
+        assert dense_m.activations_saved == dense["faults"]["crash_node_rounds"]
+        assert {
+            "dense": (dense_m.node_activations, dense_m.activations_saved),
+            "event": (event_m.node_activations, event_m.activations_saved),
+        } == LOOP_BRANCH_ACTIVATIONS[case, primitive]
+
+    @settings(
+        max_examples=30, deadline=None, suppress_health_check=[HealthCheck.too_slow]
+    )
+    @given(
+        family=st.sampled_from(sorted(GRAPHS)),
+        seed=st.integers(0, 10**6),
+        rates=st.tuples(*[st.floats(min_value=0.0, max_value=0.2)] * 4),
+        crash=st.none() | st.tuples(
+            st.integers(1, 20), st.integers(1, 8), st.integers(0, 10**6)
+        ),
+    )
+    def test_random_fault_plans_agree(self, family, seed, rates, crash):
+        """Random chaos: equal outcomes, or the same exception type (heavy
+        plans exhaust the retransmit budget; a round-1 crash of the max-ID
+        node leaves ``elect_leader`` without a unique leader)."""
+        graph = GRAPHS[family]()
+        nodes = sorted(graph.nodes())
+        drop, duplicate, delay, corrupt = rates
+        crashes = ()
+        if crash is not None:
+            start, length, pick = crash
+            crashes = (CrashWindow(start, start + length, node=nodes[pick % len(nodes)]),)
+        for primitive in sorted(PRIMITIVES):
+            (dense, _), (event, _) = (
+                outcome(
+                    policy,
+                    FaultPlan(
+                        seed=seed, drop_rate=drop, duplicate_rate=duplicate,
+                        delay_rate=delay, corruption_rate=corrupt, crashes=crashes,
+                    ),
+                    primitive,
+                    graph,
+                )
+                for policy in ("dense", "event")
+            )
+            assert dense == event, primitive
 
     def test_self_healing_pipeline_under_chaos(self):
         """The full chaos pipeline — embed, certify, verify, heal — is

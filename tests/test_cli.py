@@ -303,6 +303,32 @@ class TestTracing:
         assert code == 0
         assert "run" in out and "rounds" in out
 
+    @pytest.mark.parametrize("exit_code", [1, 3])
+    def test_perfetto_written_on_failed_runs(self, exit_code, tmp_path, monkeypatch, capsys):
+        """A non-planar input (exit 1) or a rejected embedding (exit 3)
+        still writes both the trace and the Perfetto file."""
+        if exit_code == 1:
+            f = tmp_path / "k5.txt"
+            f.write_text("\n".join(f"{i} {j}" for i in range(5) for j in range(i + 1, 5)))
+            source = [str(f)]
+        else:
+            from repro.planar.verify import EmbeddingViolation
+
+            def always_reject(graph, order):
+                raise EmbeddingViolation("injected failure")
+
+            monkeypatch.setattr(
+                "repro.core.algorithm.verify_planar_embedding", always_reject
+            )
+            source = ["--demo", "grid", "3", "3"]
+        trace, perfetto = tmp_path / "t.jsonl", tmp_path / "p.json"
+        code = main(source + [
+            "--trace", str(trace), "--perfetto", str(perfetto), "--quiet",
+        ])
+        assert code == exit_code
+        assert load_trace(str(trace)).kind == "run"
+        assert json.loads(perfetto.read_text())["traceEvents"]
+
     def test_json_with_trace_stdout_conflict(self):
         with pytest.raises(SystemExit):
             main(["--demo", "grid", "4", "4", "--json", "--trace", "-"])

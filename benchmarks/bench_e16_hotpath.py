@@ -6,7 +6,9 @@ planarity tests per bundle split, per-call subtree walks, ``repr``-key
 sorts, LR re-runs on isomorphic small parts) while keeping every ledger
 and every output rotation bit-identical — the differential suite in
 ``tests/integration/test_reference_paths_differential.py`` proves the
-invisibility; this bench pins the payoff:
+invisibility against test-local references (a networkx whole-graph
+split oracle, a walk-based recursion index, the simulator's leader
+election); this bench pins the payoff:
 
 * a wall-clock sweep over four planar families at n=1024 plus the
   n=4096 grid, compared against the *pre-overhaul* medians measured on
@@ -18,7 +20,7 @@ invisibility; this bench pins the payoff:
   (``time_budget.json``), the timing analogue of E15's activation gate:
   generous (~5x headroom) so it only trips on order-of-magnitude
   regressions, never on runner noise;
-* per-run oracle counters (scoped vs full split tests, memo hits)
+* per-run oracle counters (witness answers vs whole-graph LR tests)
   recorded alongside the timings, showing *why* the splits got cheap.
 
 ``REPRO_BENCH_SMOKE=1`` keeps only the n<=256 budget-gate workloads and
@@ -106,7 +108,6 @@ def run_experiment(report=None):
                     split_rejections=result.split_rejections,
                     oracle_scoped=oracle.get("scoped_tests", 0),
                     oracle_full=oracle.get("full_tests", 0),
-                    oracle_memo_hits=oracle.get("memo_hits", 0),
                 )
             rows.append([
                 key, round(before, 3), round(wall, 3),

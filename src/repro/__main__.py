@@ -548,9 +548,8 @@ def main(argv: list[str] | None = None) -> int:
                 f" {result.split_rejections} rejected")
         oracle = getattr(result, "split_oracle", None)
         if oracle is not None:
-            line += (f" (scoped oracle: {oracle['scoped_tests']} scoped,"
-                     f" {oracle['full_tests']} full,"
-                     f" {oracle['memo_hits']} memo hits)")
+            line += (f" (oracle: {oracle['scoped_tests']} witness,"
+                     f" {oracle['full_tests']} full LR)")
         say(line)
 
     exit_code = 0

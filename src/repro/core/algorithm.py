@@ -38,7 +38,7 @@ from ..primitives.bfs import BfsTree, build_bfs_tree
 from ..primitives.leader import elect_leader
 from .assembly import expand_copies
 from .parts import NonPlanarNetworkError
-from .recursion import CallRecord, RecursionContext, embed_subtree
+from .recursion import CallRecord, RecursionContext, check_splitter_strategy, embed_subtree
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for annotations
     from ..certify import CertificateSet, CertificationReport
@@ -73,7 +73,7 @@ class EmbeddingResult:
     compact_certificates: "object | None" = None
     split_tests: int = 0  # multi-edge bundle split validations run
     split_rejections: int = 0  # splits rolled back as planarity-breaking
-    split_oracle: dict | None = None  # scoped-oracle counters (None = reference path)
+    split_oracle: dict | None = None  # split-oracle counters (None = no recursion ran)
     heal_attempts: int = 0  # self-healing attempts consumed (0 = plain run)
     heal_log: list[str] = field(default_factory=list)  # what healing saw and did
     fault_stats: dict | None = None  # chaos-layer counters (None = no fault plan)
@@ -269,6 +269,7 @@ class DistributedPlanarEmbedding:
             raise ValueError("cannot embed an empty network")
         if not graph.is_connected():
             raise ValueError("the network must be connected")
+        check_splitter_strategy(splitter_strategy)
         self.graph = graph
         self.bandwidth_words = bandwidth_words
         self.verify = verify
@@ -304,7 +305,7 @@ class DistributedPlanarEmbedding:
             result = self._run_traced(graph, metrics, tracer)
             if run_span is not None:
                 # Perf-profile attrs: how much split validation the run
-                # did and how much of it the scoped oracle absorbed.
+                # did and how much of it the oracle's witness answered.
                 run_span.attrs["split_tests"] = result.split_tests
                 run_span.attrs["split_rejections"] = result.split_rejections
                 if result.split_oracle is not None:
@@ -367,7 +368,7 @@ class DistributedPlanarEmbedding:
         )
         part, recursion_metrics = embed_subtree(ctx, leader, level=0)
         metrics.absorb_serial(recursion_metrics)
-        split_oracle = ctx.split_oracle_stats()
+        split_oracle = ctx.oracle.stats()
         if part.boundary:  # pragma: no cover - invariant
             raise AssertionError("top-level part still has half-embedded edges")
 

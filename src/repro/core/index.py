@@ -11,7 +11,7 @@ the splitter token walk) is charged separately and stays untouched.
 :class:`RecursionIndex` precomputes everything once after BFS:
 
 * an Euler-tour preorder of the BFS tree, so any subtree is a contiguous
-  slice ``order[tin[s]:tout[s]]`` (membership and size are O(1));
+  slice ``order[tin[s]:tout[s]]`` (its size is O(1));
 * per-node BFS depth and the *peak* depth inside each subtree, so
   ``subtree_depth`` is a subtraction instead of a walk;
 * the global rank of every node in ``repr`` order, so canonical sorts
@@ -20,9 +20,9 @@ the splitter token walk) is charged separately and stays untouched.
 The index is simulation bookkeeping, not protocol state: every quantity
 is derivable from the BFS tree the nodes already hold locally, so
 precomputing it centrally changes no rounds, messages, words, or
-activations.  ``REPRO_REFERENCE_PATHS=1`` disables it (the recursion
-then recomputes per call, as the reference implementation does), which
-the differential suite uses to prove both paths bit-identical.
+activations.  The differential suite in ``tests/integration`` swaps in a
+test-local index that recomputes per call (``BfsTree`` walks and
+``sorted(key=repr)``) and asserts bit-identical runs.
 """
 
 from __future__ import annotations
@@ -93,11 +93,6 @@ class RecursionIndex:
     def subtree_depth(self, s: NodeId) -> int:
         """== ``BfsTree.subtree_depth(s)``, without re-walking the subtree."""
         return self.peak_depth[s] - self.depth_of[s]
-
-    def in_subtree(self, v: NodeId, s: NodeId) -> bool:
-        """True iff ``v`` lies in the subtree rooted at ``s``."""
-        tv = self.tin.get(v)
-        return tv is not None and self.tin[s] <= tv < self.tout[s]
 
     def sort(self, nodes) -> list[NodeId]:
         """``sorted(nodes, key=repr)`` via the precomputed integer ranks."""

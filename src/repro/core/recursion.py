@@ -19,7 +19,6 @@ call in :class:`CallRecord` for experiments E4/E5.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field
 
 from ..congest.metrics import RoundMetrics
@@ -33,18 +32,16 @@ from .index import RecursionIndex
 from .parts import PartEmbedding, fresh_part
 from .unrestricted import UnrestrictedMergeStats, unrestricted_path_merge
 
-__all__ = ["CallRecord", "RecursionContext", "embed_subtree", "reference_paths_enabled"]
+__all__ = ["CallRecord", "RecursionContext", "embed_subtree"]
 
 
-def reference_paths_enabled() -> bool:
-    """True when ``REPRO_REFERENCE_PATHS`` selects the unoptimized paths.
-
-    The escape hatch disables the shared :class:`RecursionIndex` and the
-    scoped split-validation oracle, reverting to per-call subtree walks
-    and full-graph planarity tests.  The differential suite runs the
-    pipeline both ways and asserts bit-identical ledgers and rotations.
-    """
-    return os.environ.get("REPRO_REFERENCE_PATHS", "") not in ("", "0")
+def check_splitter_strategy(strategy: str) -> None:
+    """Raise ``ValueError`` unless ``strategy`` is ``"balanced"`` (the
+    paper's 2/3-balanced splitter) or ``"root"`` (the E12 ablation)."""
+    if strategy not in ("balanced", "root"):
+        raise ValueError(
+            f"unknown splitter strategy {strategy!r}; expected 'balanced' or 'root'"
+        )
 
 
 @dataclass
@@ -74,27 +71,18 @@ class RecursionContext:
     split_rejections: int = 0
     splitter_strategy: str = "balanced"  # "balanced" (paper) | "root" (E12 ablation)
     tracer: Tracer | None = None  # span/event sink; None = zero instrumentation
-    reference_paths: bool | None = None  # None -> from REPRO_REFERENCE_PATHS
-    index: RecursionIndex | None = None  # shared subtree stats (optimized path)
-    oracle: ScopedPlanarityOracle | None = None  # scoped split validation
+    index: RecursionIndex = field(init=False)  # shared subtree stats
+    oracle: ScopedPlanarityOracle = field(init=False)  # split validation
 
     def __post_init__(self) -> None:
+        check_splitter_strategy(self.splitter_strategy)
         if self.current is None:
             self.current = self.graph.copy()
-        if self.reference_paths is None:
-            self.reference_paths = reference_paths_enabled()
-        if not self.reference_paths:
-            if self.index is None:
-                self.index = RecursionIndex.build(self.tree)
-            if self.oracle is None:
-                self.oracle = ScopedPlanarityOracle(self.current)
+        self.index = RecursionIndex.build(self.tree)
+        self.oracle = ScopedPlanarityOracle(self.current)
 
     def max_level(self) -> int:
         return max((r.level for r in self.trace), default=0)
-
-    def split_oracle_stats(self) -> dict[str, int] | None:
-        """Scoped-oracle counters, or ``None`` on the reference path."""
-        return self.oracle.stats() if self.oracle is not None else None
 
     def try_split(self, copy: NodeId, coordinator: NodeId, rerouted: list[NodeId]) -> bool:
         """Validate a step-2(e) split-off against the evolving network.
@@ -105,12 +93,11 @@ class RecursionContext:
         planar embedding keeps the bundle consecutive around the
         coordinator, which we decide by oracle-testing the modified
         graph (the paper's full version guarantees this by construction;
-        see DESIGN.md §3).  Once the evolving graph is known planar, the
-        oracle (:class:`ScopedPlanarityOracle`) answers from a planar
-        rotation it keeps in step with every split, subdivisions
-        included, and otherwise tests only the biconnected components
-        containing the copy; with ``REPRO_REFERENCE_PATHS=1`` every test
-        runs on the full graph.
+        see DESIGN.md §3).  The oracle (:class:`ScopedPlanarityOracle`)
+        answers from a planar rotation it keeps in step with every
+        split, subdivisions included, when the bundle is consecutive
+        there, and otherwise runs one LR test of the whole modified
+        graph, whose rotation it keeps when the verdict is planar.
 
         On success the modification is kept so later splits are tested
         against the up-to-date network.  On rejection the graph is
@@ -131,17 +118,10 @@ class RecursionContext:
         g.add_edge(copy, coordinator)
         if len(rerouted) == 1:
             # Edge subdivision: planarity-invariant, always kept.
-            if self.oracle is not None:
-                self.oracle.note_subdivision(copy, coordinator, rerouted[0])
+            self.oracle.note_subdivision(copy, coordinator, rerouted[0])
             return True
         self.split_tests += 1
-        if self.oracle is not None:
-            ok = self.oracle.check_rerouted(copy, coordinator, rerouted)
-        else:
-            from ..planar.lr_planarity import lr_planarity
-
-            ok = lr_planarity(g) is not None
-        if ok:
+        if self.oracle.check_rerouted(copy, coordinator, rerouted):
             return True
         del adj[copy]
         for u, neighbors in snapshot.items():
@@ -193,11 +173,7 @@ def embed_subtree(
     if tracer is not None:
         metrics.observer = tracer
     index = ctx.index
-    if index is not None:
-        size = index.subtree_size(s)
-    else:
-        vertices = ctx.tree.subtree_nodes(s)
-        size = len(vertices)
+    size = index.subtree_size(s)
     if size == 1:
         part = fresh_part(
             Graph(nodes=[s]), _external_boundary(ctx, {s}, [s]), depth=0,
@@ -218,46 +194,32 @@ def embed_subtree(
         root=s, level=level, size=size,
     ) as call_span:
         # --- partition phase: real distributed subtree stats + token walk. --
-        if index is not None:
-            ordered = index.sort(index.subtree_span(s))
-            members = set(ordered)
-        else:
-            ordered = sorted(vertices, key=repr)
-            members = vertices
+        ordered = index.sort(index.subtree_span(s))
         tree_graph = Graph(nodes=ordered)
         tree_parent = ctx.tree.parent
         tree_children = ctx.tree.children
         parent: dict[NodeId, NodeId | None] = {}
         children: dict[NodeId, list[NodeId]] = {}
-        if index is not None:
-            # The convergecast/walk programs copy or only read child
-            # lists, so the shared index path threads them by reference.
-            for v in ordered:
-                p = tree_parent[v] if v != s else None
-                parent[v] = p
-                children[v] = tree_children[v]
-                if p is not None:
-                    tree_graph.add_edge(v, p)
-        else:
-            for v in ordered:
-                p = tree_parent[v] if v != s else None
-                parent[v] = p
-                children[v] = list(tree_children[v])
-                if p is not None:
-                    tree_graph.add_edge(v, p)
+        # The convergecast/walk programs copy or only read child lists,
+        # so the tree's own lists are threaded by reference.
+        for v in ordered:
+            p = tree_parent[v] if v != s else None
+            parent[v] = p
+            children[v] = tree_children[v]
+            if p is not None:
+                tree_graph.add_edge(v, p)
         with maybe_span(tracer, "partition", kind="phase"):
             stats = compute_subtree_stats(tree_graph, parent, children, metrics=metrics)
             if ctx.splitter_strategy == "balanced":
                 splitter = find_splitter(
                     tree_graph, s, parent, children, metrics=metrics, stats=stats
                 )
-            elif ctx.splitter_strategy == "root":
-                # E12 ablation: no balancing — P0 degenerates to the root alone,
-                # so hanging parts can keep ~all the vertices and the recursion
-                # depth grows with the tree depth instead of log n.
-                splitter = s
             else:
-                raise ValueError(f"unknown splitter strategy {ctx.splitter_strategy!r}")
+                # "root", the E12 ablation: no balancing — P0 degenerates to
+                # the root alone, so hanging parts can keep ~all the vertices
+                # and the recursion depth grows with the tree depth instead
+                # of log n.
+                splitter = s
             if tracer is not None:
                 tracer.event(
                     "splitter",
@@ -269,9 +231,7 @@ def embed_subtree(
         p0_order = ctx.tree.path_to_descendant(s, splitter)
         p0_set = set(p0_order)
         hanging = {c for v in p0_order for c in children[v] if c not in p0_set}
-        hanging_roots = (
-            index.sort(hanging) if index is not None else sorted(hanging, key=repr)
-        )
+        hanging_roots = index.sort(hanging)
 
         # --- parallel recursion on the hanging subtrees. ---------------------
         # The subtrees are vertex-disjoint, so their executions interleave
@@ -289,12 +249,9 @@ def embed_subtree(
         p0_graph = Graph(nodes=p0_order)
         for a, b in zip(p0_order, p0_order[1:]):
             p0_graph.add_edge(a, b)
-        p0_sorted = (
-            index.sort(p0_set) if index is not None else sorted(p0_set, key=repr)
-        )
         p0_part = fresh_part(
             p0_graph,
-            _external_boundary(ctx, p0_set, p0_sorted),
+            _external_boundary(ctx, p0_set, index.sort(p0_set)),
             depth=max(len(p0_order) - 1, 0),
             part_id=path,
         )
@@ -323,10 +280,7 @@ def embed_subtree(
             level=level,
             root=s,
             subtree_size=size,
-            subtree_depth=(
-                index.subtree_depth(s) if index is not None
-                else ctx.tree.subtree_depth(s)
-            ),
+            subtree_depth=index.subtree_depth(s),
             p0_length=len(p0_order),
             splitter=splitter,
             part_sizes=sorted((stats.size[w] for w in hanging_roots), reverse=True),

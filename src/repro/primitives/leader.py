@@ -11,7 +11,7 @@ Two executions of the same protocol:
 
 * :class:`MaxIdFloodProgram` under the CONGEST simulator — the
   reference, and the only path under the dense scheduler, fault
-  injection, causal recording, or ``REPRO_REFERENCE_PATHS=1``;
+  injection, or causal recording;
 * :func:`_fast_flood` — a closed-form replay of exactly what the event
   scheduler would do with those programs.  Flooding is the one phase
   whose per-round behavior is a pure function of the frontier (receive
@@ -28,7 +28,6 @@ bit-identical ledgers differentially.
 
 from __future__ import annotations
 
-import os
 from typing import Any
 
 from ..congest.message import payload_words, word_bits
@@ -183,16 +182,12 @@ def elect_leader(
 
     Uses the closed-form flood replay whenever the ambient configuration
     matches what it models — the event scheduler with no fault injector
-    and no causal recorder, reference paths off — and the full simulator
-    otherwise.  Both emit bit-identical ledgers.
+    and no causal recorder — and the full simulator otherwise.  Both
+    emit bit-identical ledgers.
     """
     if graph.num_nodes == 0:
         raise ValueError("cannot elect a leader of an empty graph")
-    if (
-        default_scheduler() == "event"
-        and default_causal_recorder() is None
-        and os.environ.get("REPRO_REFERENCE_PATHS", "") in ("", "0")
-    ):
+    if default_scheduler() == "event" and default_causal_recorder() is None:
         from ..congest.faults import default_fault_injector
 
         if default_fault_injector() is None:

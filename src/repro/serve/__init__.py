@@ -6,8 +6,7 @@ result for one caller.  This package serves *streams* of such jobs at
 production traffic:
 
 * :mod:`.canon`  — a label-invariant whole-graph canonical hash
-  (Weisfeiler–Leman refinement over process-stable blake2b digests),
-  lifting the E16 canonicalized-region memo to whole-job scope;
+  (Weisfeiler–Leman refinement over process-stable blake2b digests);
 * :mod:`.cache`  — a bounded LRU + optional persistent JSONL result
   store keyed by ``(canonical_hash, job_kind, config)``, with
   bit-identical exact hits and verified isomorphism-remap hits;

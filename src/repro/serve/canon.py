@@ -1,12 +1,9 @@
 """Whole-graph canonical hashing for the serving cache.
 
-The E16 scoped oracle (:mod:`repro.planar.scoped`) renames one fresh
-copy vertex to a fixed token in its memo keys, so a retried region hits
-under a new copy label.  The service layer needs the full version of
-that trick at whole-job scope: two submissions of the same topology
-under *any* vertex labels should land on the same cache line.  This
-module computes a **label-invariant canonical hash** of a graph via
-Weisfeiler–Leman (1-WL) color refinement:
+Two submissions of the same topology under *any* vertex labels should
+land on the same cache line of the serving cache.  This module computes
+a **label-invariant canonical hash** of a graph via Weisfeiler–Leman
+(1-WL) color refinement:
 
 * every vertex starts with a color derived from its degree;
 * each round rehashes a vertex's color together with the sorted multiset

@@ -69,6 +69,13 @@ class TestSplitterStrategies:
         verify_planar_embedding(g, result.rotation)
 
     def test_unknown_strategy(self):
+        # Rejected at construction, before any round runs.
         g = grid_graph(3, 3)
-        with pytest.raises(ValueError):
-            DistributedPlanarEmbedding(g, splitter_strategy="???").run()
+        with pytest.raises(ValueError, match="'balanced' or 'root'"):
+            DistributedPlanarEmbedding(g, splitter_strategy="???")
+
+    def test_unknown_strategy_on_single_node_network(self):
+        # A one-node run never reaches the recursion, so the value must
+        # be checked up front.
+        with pytest.raises(ValueError, match="'balanced' or 'root'"):
+            DistributedPlanarEmbedding(Graph(nodes=[1]), splitter_strategy="bogus")

@@ -40,13 +40,8 @@ FAMILIES = [
 ]
 
 
-@pytest.fixture
-def clean_env(monkeypatch):
-    monkeypatch.delenv("REPRO_REFERENCE_PATHS", raising=False)
-
-
 @pytest.mark.parametrize("make", FAMILIES)
-def test_ledger_bit_identical_to_simulator(clean_env, make):
+def test_ledger_bit_identical_to_simulator(make):
     fast_m = RoundMetrics()
     fast_leader = leader_mod._fast_flood(make(), fast_m, "leader-election")
     assert fast_leader is not leader_mod._FALLBACK
@@ -62,7 +57,7 @@ def test_ledger_bit_identical_to_simulator(clean_env, make):
 
 
 @pytest.mark.parametrize("make", FAMILIES)
-def test_elect_leader_uses_fast_path_when_eligible(clean_env, make, monkeypatch):
+def test_elect_leader_uses_fast_path_when_eligible(make, monkeypatch):
     def no_simulator(*args, **kwargs):  # pragma: no cover - failure path
         raise AssertionError("eligible run must not touch the simulator")
 
@@ -71,19 +66,7 @@ def test_elect_leader_uses_fast_path_when_eligible(clean_env, make, monkeypatch)
     assert elect_leader(g) == max(g._adj)
 
 
-def test_reference_paths_routes_to_simulator(monkeypatch):
-    monkeypatch.setenv("REPRO_REFERENCE_PATHS", "1")
-
-    def no_fast(*args, **kwargs):  # pragma: no cover - failure path
-        raise AssertionError("reference-paths run must not use the fast path")
-
-    monkeypatch.setattr(leader_mod, "_fast_flood", no_fast)
-    m = RoundMetrics()
-    assert elect_leader(grid_graph(4, 4), metrics=m) == 15
-    assert m.rounds > 0
-
-
-def test_dense_scheduler_routes_to_simulator(clean_env, monkeypatch):
+def test_dense_scheduler_routes_to_simulator(monkeypatch):
     def no_fast(*args, **kwargs):  # pragma: no cover - failure path
         raise AssertionError("dense-scheduler run must not use the fast path")
 
@@ -92,7 +75,7 @@ def test_dense_scheduler_routes_to_simulator(clean_env, monkeypatch):
         assert elect_leader(grid_graph(4, 4)) == 15
 
 
-def test_wide_ids_fall_back_and_raise_from_simulator(clean_env):
+def test_wide_ids_fall_back_and_raise_from_simulator():
     # IDs wider than the per-edge budget must surface the genuine
     # simulator error; the fast path pre-flights and never half-records.
     g = Graph()
@@ -104,7 +87,7 @@ def test_wide_ids_fall_back_and_raise_from_simulator(clean_env):
         elect_leader(g)
 
 
-def test_disconnected_rejected_by_both_paths(clean_env):
+def test_disconnected_rejected_by_both_paths():
     g = Graph()
     g.add_edge(0, 1)
     g.add_edge(2, 3)
@@ -115,7 +98,7 @@ def test_disconnected_rejected_by_both_paths(clean_env):
             elect_leader(g)
 
 
-def test_metrics_optional_and_phase_untagged(clean_env):
+def test_metrics_optional_and_phase_untagged():
     # metrics=None and phase=None exercise the fast path's optional arms.
     assert leader_mod._fast_flood(grid_graph(3, 3), None, None) == 8
     m = RoundMetrics()

@@ -17,6 +17,12 @@ toward that bound without changing their meaning:
   integer — including an adversarially tampered one — still encodes;
 * **presence flags** (has-parent) are single bits.
 
+A blob holds, low bit first: root id, has-parent flag, parent id, the
+eight counters, the dart count, then per dart (``repr`` order) the
+neighbor id, leader-dart ids, length and index.  Each label is packed
+and unpacked in one pass over one int; a malformed blob fails exactly
+as under the field-by-field reference ``tests/certify/codec_reference.py``.
+
 The decoder is *total and strict*: any blob — including one with
 adversarially flipped bits — either decodes to a
 :class:`~repro.certify.labels.NodeCertificate` (bit-exact round-trip of
@@ -48,8 +54,6 @@ from ..planar.graph import Graph, NodeId
 from .labels import CertificateSet, DartLabel, NodeCertificate
 
 __all__ = [
-    "BitReader",
-    "BitWriter",
     "CompactCertificateSet",
     "CompactDecodeError",
     "encode_certificates",
@@ -68,79 +72,6 @@ class CompactDecodeError(ValueError):
     bits, an out-of-range node index, or a runaway varint)."""
 
 
-class BitWriter:
-    """Append-only bit sink, LSB-first within the growing integer."""
-
-    def __init__(self) -> None:
-        self._acc = 0
-        self._nbits = 0
-
-    def write_bits(self, value: int, width: int) -> None:
-        if width < 0 or value < 0 or value >> width:
-            raise ValueError(f"value {value} does not fit in {width} bits")
-        self._acc |= value << self._nbits
-        self._nbits += width
-
-    def write_varint(self, value: int) -> None:
-        """Zigzag varint: 4-bit groups of 3 payload bits + 1 continuation."""
-        encoded = (value << 1) if value >= 0 else ((-value << 1) - 1)
-        while True:
-            self.write_bits(encoded & 7, 3)
-            encoded >>= 3
-            self.write_bits(1 if encoded else 0, 1)
-            if not encoded:
-                return
-
-    @property
-    def bit_length(self) -> int:
-        return self._nbits
-
-    def getvalue(self) -> tuple[bytes, int]:
-        """The packed blob and its exact bit length."""
-        nbytes = (self._nbits + 7) // 8
-        return self._acc.to_bytes(nbytes, "little"), self._nbits
-
-
-class BitReader:
-    """Strict reader over a ``(blob, nbits)`` pair from :class:`BitWriter`."""
-
-    def __init__(self, blob: bytes, nbits: int) -> None:
-        if nbits < 0 or nbits > len(blob) * 8:
-            raise CompactDecodeError(f"bit length {nbits} exceeds blob of {len(blob)} bytes")
-        self._acc = int.from_bytes(blob, "little")
-        self._nbits = nbits
-        self._pos = 0
-
-    def read_bits(self, width: int) -> int:
-        if self._pos + width > self._nbits:
-            raise CompactDecodeError(
-                f"truncated blob: need {width} bits at offset {self._pos} of {self._nbits}"
-            )
-        value = (self._acc >> self._pos) & ((1 << width) - 1)
-        self._pos += width
-        return value
-
-    def read_varint(self) -> int:
-        encoded = 0
-        shift = 0
-        for _ in range(_MAX_VARINT_GROUPS):
-            encoded |= self.read_bits(3) << shift
-            shift += 3
-            if not self.read_bits(1):
-                return (encoded >> 1) if not (encoded & 1) else -((encoded + 1) >> 1)
-        raise CompactDecodeError("runaway varint (no terminating group)")
-
-    @property
-    def exhausted(self) -> bool:
-        return self._pos == self._nbits
-
-    def expect_exhausted(self) -> None:
-        if not self.exhausted:
-            raise CompactDecodeError(
-                f"{self._nbits - self._pos} trailing bits after the last field"
-            )
-
-
 # -- the label codec ---------------------------------------------------------
 
 
@@ -148,79 +79,146 @@ def _id_bits(n: int) -> int:
     return max(1, (n - 1).bit_length())
 
 
+def _varint_nibbles(code: int) -> tuple[int, int]:
+    """A zigzag code's 4-bit groups as ``(bits, width)``, low group first."""
+    bits = width = 0
+    while code >= 64:  # at least three groups left: take two, both continued
+        bits |= ((code & 7) | (code & 56) << 1 | 136) << width
+        code >>= 6
+        width += 8
+    if code >= 8:
+        return bits | ((code & 7) | 8 | code >> 3 << 4) << width, width + 8
+    return bits | code << width, width + 4
+
+
+def _varint_bits(value: int) -> tuple[int, int]:
+    """The zigzag varint of ``value`` as ``(bits, width)``."""
+    return _varint_nibbles(value << 1 if value >= 0 else (-value << 1) - 1)
+
+
+# ``_VARINT[value + 128]`` is ``_varint_bits(value)`` for -128 <= value < 128,
+# which covers most counters of an honest label.
+_VARINT = tuple(_varint_bits(value) for value in range(-128, 128))
+
+
 def _encode_label(
     label: NodeCertificate, index: dict[NodeId, int], id_bits: int
 ) -> tuple[bytes, int]:
-    w = BitWriter()
-    w.write_bits(index[label.root], id_bits)
-    if label.parent is None:
-        w.write_bits(0, 1)
+    acc = index[label.root]
+    pos = id_bits + 1
+    if label.parent is not None:
+        acc |= (index[label.parent] << 1 | 1) << id_bits
+        pos += id_bits
+    darts = label.darts
+    for value in (label.depth, label.n, label.m, label.f, label.subtree_vertices,
+                  label.subtree_degree, label.subtree_faces, label.face_leaders, len(darts)):
+        bits, width = _VARINT[value + 128] if -128 <= value < 128 else _varint_bits(value)
+        acc |= bits << pos
+        pos += width
+    ids = 3 * id_bits
+    for neighbor in sorted(darts, key=repr):
+        dart = darts[neighbor]
+        face, length, at = dart.face, dart.length, dart.index
+        bits = index[neighbor] | (index[face[0]] | index[face[1]] << id_bits) << id_bits
+        length_varint = _VARINT[length + 128] if -128 <= length < 128 else _varint_bits(length)
+        at_varint = _VARINT[at + 128] if -128 <= at < 128 else _varint_bits(at)
+        acc |= (bits | (length_varint[0] | at_varint[0] << length_varint[1]) << ids) << pos
+        pos += ids + length_varint[1] + at_varint[1]
+    return acc.to_bytes((pos + 7) // 8, "little"), pos
+
+
+def _truncated(width: int, pos: int, nbits: int) -> CompactDecodeError:
+    return CompactDecodeError(f"truncated blob: need {width} bits at offset {pos} of {nbits}")
+
+
+def _node_at(acc: int, pos: int, nbits: int, id_bits: int, table: tuple[NodeId, ...]) -> NodeId:
+    if pos + id_bits > nbits:
+        raise _truncated(id_bits, pos, nbits)
+    i = acc >> pos & ((1 << id_bits) - 1)
+    if i >= len(table):
+        raise CompactDecodeError(f"node index {i} out of range (n={len(table)})")
+    return table[i]
+
+
+def _short_varint(window: int) -> tuple[int, int] | None:
+    """``(value, width)`` of a varint that ends inside this 8-bit window."""
+    if not window & 8:
+        code, width = window & 7, 4
+    elif not window & 128:
+        code, width = (window & 7) | (window >> 1 & 56), 8
     else:
-        w.write_bits(1, 1)
-        w.write_bits(index[label.parent], id_bits)
-    for counter in (
-        label.depth,
-        label.n,
-        label.m,
-        label.f,
-        label.subtree_vertices,
-        label.subtree_degree,
-        label.subtree_faces,
-        label.face_leaders,
-    ):
-        w.write_varint(counter)
-    w.write_varint(len(label.darts))
-    for neighbor in sorted(label.darts, key=repr):
-        dart = label.darts[neighbor]
-        w.write_bits(index[neighbor], id_bits)
-        w.write_bits(index[dart.face[0]], id_bits)
-        w.write_bits(index[dart.face[1]], id_bits)
-        w.write_varint(dart.length)
-        w.write_varint(dart.index)
-    return w.getvalue()
+        return None
+    return (-((code + 1) >> 1) if code & 1 else code >> 1), width
+
+
+# Indexed by the 8 bits at a varint's offset: its value and width when it
+# takes one or two groups, else None (the per-group loop in ``_varint``).
+_SHORT_VARINT = tuple(_short_varint(window) for window in range(256))
+
+
+def _varint(acc: int, pos: int, nbits: int) -> tuple[int, int]:
+    """The varint at ``pos`` and the offset after it."""
+    if pos + 8 <= nbits:
+        short = _SHORT_VARINT[acc >> pos & 255]
+        if short is not None:
+            return short[0], pos + short[1]
+    code = shift = 0
+    for _ in range(_MAX_VARINT_GROUPS):
+        if pos + 4 > nbits:
+            raise _truncated(3, pos, nbits) if pos + 3 > nbits else _truncated(1, pos + 3, nbits)
+        group = acc >> pos & 15
+        pos += 4
+        code |= (group & 7) << shift
+        if group < 8:
+            return (-((code + 1) >> 1) if code & 1 else code >> 1), pos
+        shift += 3
+    raise CompactDecodeError("runaway varint (no terminating group)")
 
 
 def _decode_label(
     node: NodeId, blob: bytes, nbits: int, table: tuple[NodeId, ...], id_bits: int
 ) -> NodeCertificate:
-    r = BitReader(blob, nbits)
-
-    def read_id() -> NodeId:
-        i = r.read_bits(id_bits)
-        if i >= len(table):
-            raise CompactDecodeError(f"node index {i} out of range (n={len(table)})")
-        return table[i]
-
-    root = read_id()
-    parent = read_id() if r.read_bits(1) else None
-    counters = [r.read_varint() for _ in range(8)]
-    dart_count = r.read_varint()
-    if dart_count < 0 or dart_count > len(table):
+    if nbits < 0 or nbits > len(blob) * 8:
+        raise CompactDecodeError(f"bit length {nbits} exceeds blob of {len(blob)} bytes")
+    acc = int.from_bytes(blob, "little")
+    n = len(table)
+    root = _node_at(acc, 0, nbits, id_bits, table)
+    if id_bits >= nbits:  # no room for the has-parent flag
+        raise _truncated(1, id_bits, nbits)
+    pos = id_bits + 1
+    parent = None
+    if acc >> id_bits & 1:
+        parent = _node_at(acc, pos, nbits, id_bits, table)
+        pos += id_bits
+    counters = []
+    for _ in range(9):
+        value, pos = _varint(acc, pos, nbits)
+        counters.append(value)
+    dart_count = counters.pop()
+    if dart_count < 0 or dart_count > n:
         raise CompactDecodeError(f"implausible dart count {dart_count}")
+    mask = (1 << id_bits) - 1
+    ids = 3 * id_bits
     darts: dict[NodeId, DartLabel] = {}
     for _ in range(dart_count):
-        neighbor = read_id()
+        x = acc >> pos
+        i, j, k = x & mask, x >> id_bits & mask, x >> 2 * id_bits & mask
+        if pos + ids > nbits or i >= n or j >= n or k >= n:
+            # An id is cut off or out of range: read field by field, so the
+            # error names the first bad field (a duplicate neighbor first).
+            if _node_at(acc, pos, nbits, id_bits, table) not in darts:
+                _node_at(acc, pos + id_bits, nbits, id_bits, table)
+                _node_at(acc, pos + 2 * id_bits, nbits, id_bits, table)
+        neighbor = table[i]
         if neighbor in darts:
             raise CompactDecodeError(f"duplicate dart label for neighbor {neighbor!r}")
-        face = (read_id(), read_id())
-        length = r.read_varint()
-        dart_index = r.read_varint()
-        darts[neighbor] = DartLabel(face=face, length=length, index=dart_index)
-    r.expect_exhausted()
-    return NodeCertificate(
-        node=node,
-        root=root,
-        parent=parent,
-        depth=counters[0],
-        n=counters[1],
-        m=counters[2],
-        f=counters[3],
-        subtree_vertices=counters[4],
-        subtree_degree=counters[5],
-        subtree_faces=counters[6],
-        face_leaders=counters[7],
-        darts=darts,
-    )
+        face = (table[j], table[k])
+        length, pos = _varint(acc, pos + ids, nbits)
+        dart_index, pos = _varint(acc, pos, nbits)
+        darts[neighbor] = DartLabel(face, length, dart_index)
+    if pos != nbits:
+        raise CompactDecodeError(f"{nbits - pos} trailing bits after the last field")
+    return NodeCertificate(node, root, parent, *counters, darts)
 
 
 @dataclass

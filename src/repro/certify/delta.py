@@ -353,6 +353,7 @@ class DynamicCertifiedEmbedding:
         self.certs: CertificateSet | None = None
         self.compact: CompactCertificateSet | None = None
         self.last_certification: CertificationReport | None = None
+        self.certified_ops: int | None = None  # stats["ops"] at that verification
         self.parent: dict[NodeId, NodeId | None] = {}
         self.depth: dict[NodeId, int] = {}
         self.children: dict[NodeId, list[NodeId]] = {}
@@ -519,6 +520,7 @@ class DynamicCertifiedEmbedding:
             metrics=self.metrics,
             tracer=self.tracer,
         )
+        self.certified_ops = self.stats["ops"]
         return self.last_certification
 
     def _record_rebuild(self, op: str, u: NodeId, v: NodeId, mode: str) -> PatchRecord:
@@ -838,10 +840,10 @@ class DynamicCertifiedEmbedding:
         return self._verify_full()
 
     def to_result(self):
-        """The live state as an :class:`~repro.core.algorithm.EmbeddingResult`."""
+        """The live state as an ``EmbeddingResult``, re-verified if an op ran since the last read."""
         from ..core.algorithm import EmbeddingResult
 
-        if self.last_certification is None:
+        if self.certified_ops != self.stats["ops"]:
             self._verify_full()
         return EmbeddingResult(
             graph=self.graph,

@@ -26,8 +26,8 @@ from repro.certify import (
     verify_compact,
     verify_distributed,
 )
-from repro.certify.compact import BitReader, BitWriter, _id_bits
-from repro.certify.labels import DartLabel, NodeCertificate
+from repro.certify.compact import _id_bits
+from repro.certify.labels import DartLabel
 from repro.planar import planar_embedding
 from repro.planar.generators import (
     cycle_graph,
@@ -37,6 +37,7 @@ from repro.planar.generators import (
     random_tree,
     triangulated_grid,
 )
+from tests.certify.codec_reference import BitReader, BitWriter
 
 FAMILIES = [
     ("grid", lambda: grid_graph(5, 5)),
@@ -55,7 +56,7 @@ def certified(graph):
     return rotmap, certs
 
 
-# -- bit plumbing ----------------------------------------------------------
+# -- bit plumbing (the test-local reference's BitWriter/BitReader) ---------
 
 
 @given(st.lists(st.integers(min_value=-(2**80), max_value=2**80), max_size=40))

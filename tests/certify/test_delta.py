@@ -206,6 +206,34 @@ def test_churn_report_is_json_ready():
     json.dumps(result.to_report(), default=repr)
 
 
+def test_to_result_after_a_patch_certifies_the_live_labels():
+    """A patched op after a read leaves the read's certification stale;
+    ``to_result`` re-verifies, so the compact set it returns decodes to
+    the live labels and verifies on the live rotation."""
+    g = demo_graph(["grid", 12, 12], seed=0)
+    plan = DynamicCertifiedEmbedding(g).run_churn(16, seed=3).plan
+    engine = DynamicCertifiedEmbedding(g)
+    assert engine.certification().accepted
+    _, a, b = next(op for op in plan if op[0] == "insert")
+    assert engine.insert_edge(a, b).mode == "patched"
+    result = engine.to_result()
+    assert result.compact_certificates.decode() == result.certificates
+    assert result.certificates.labels[a].m == engine.graph.num_edges
+    assert result.certification.accepted
+    assert verify_compact(result.graph, result.rotation, result.compact_certificates).accepted
+
+
+def test_to_result_after_run_churn_adds_no_rounds():
+    """``run_churn`` ends on a full verification, so the CLI and serve
+    paths (``run_churn`` then ``to_result``) verify once, as before."""
+    engine = DynamicCertifiedEmbedding(demo_graph(["grid", 6, 6], seed=0))
+    report = engine.run_churn(6, seed=1)
+    rounds = engine.metrics.rounds
+    result = engine.to_result()
+    assert engine.metrics.rounds == rounds
+    assert result.certification is report.final_certification
+
+
 # -- patch sizing: subset packing, exact and proportional to the change ----
 
 

@@ -37,7 +37,7 @@ from repro import distributed_planar_embedding
 from repro.analysis import print_table, verdict
 from repro.congest import FaultPlan
 from repro.core import self_healing_embedding
-from repro.obs import CausalRecorder, causal_override
+from repro.obs import CausalRecorder, observe
 from repro.planar.generators import (
     cycle_graph,
     grid_graph,
@@ -74,7 +74,8 @@ def run_experiment(report=None):
     for key, make in WORKLOADS.items():
         g = make()
         recorder = CausalRecorder()
-        result = distributed_planar_embedding(g, causal=recorder)
+        with observe(recorder):
+            result = distributed_planar_embedding(g)
         causal = recorder.report()
         critical = causal["critical_path"]
         real = causal["real_rounds"]
@@ -113,7 +114,7 @@ def run_experiment(report=None):
     for key in ("grid:5x7", "trigrid:4x6"):
         g = WORKLOADS[key]()
         recorder = CausalRecorder()
-        with causal_override(recorder):
+        with observe(recorder):
             result = self_healing_embedding(g, faults=plan, max_retries=3)
         causal = recorder.report()
         chaos[key] = {

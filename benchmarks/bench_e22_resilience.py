@@ -35,7 +35,7 @@ import time
 from pathlib import Path
 
 from repro.analysis import print_table, verdict
-from repro.obs.flightrec import FlightRecorder, flight_override
+from repro.obs import FlightRecorder, observe
 from repro.serve import ChaosPool, ResiliencePolicy, ServiceDriver, load_jobs
 
 SMOKE = bool(os.environ.get("REPRO_BENCH_SMOKE"))
@@ -96,7 +96,7 @@ def run_experiment(report=None):
     )
     recorder = FlightRecorder(capacity=512)
     t0 = time.perf_counter()
-    with flight_override(recorder):
+    with observe(recorder):
         outcomes = driver.run(jobs)
     wall = time.perf_counter() - t0
     _write_artifacts(recorder, plan, job_ids)

@@ -27,11 +27,12 @@ Observability: ``--trace FILE`` writes a JSONL span trace of the run
 stdout, ``--profile`` wraps the run in cProfile (top-20 cumulative
 entries land in the JSON report, or a human table otherwise), and
 ``--view-trace FILE`` renders a previously captured trace as an ASCII
-recursion tree + phase timeline.  ``--causal`` attaches the
+recursion tree + phase timeline.  ``--causal`` installs the
 message-level causal recorder (:mod:`repro.obs.causal`) and prints the
 critical-path length against the measured rounds and the paper's
-D*log n prediction; ``--flight FILE`` (with ``--faults``) dumps the
-crash flight recorder's JSONL; ``--perfetto FILE`` exports the span
+D*log n prediction; ``--flight FILE`` (with ``--faults``) installs the
+crash flight recorder and dumps its JSONL when the run ends, on every
+exit; ``--perfetto FILE`` exports the span
 tree and causal lanes as a Chrome trace-event file loadable in
 Perfetto.  ``trace-diff A B`` (a subcommand, before any flags) diffs
 two JSONL traces structurally and reports the first divergence — exit
@@ -116,7 +117,7 @@ import sys
 import time
 
 from .core import NonPlanarNetworkError, DistributedPlanarEmbedding, trivial_baseline_embedding
-from .obs import Tracer
+from .obs import CausalRecorder, FlightRecorder, Tracer, observe
 from .planar import Graph
 from .planar.kuratowski import classify_kuratowski, kuratowski_subgraph
 from .planar.verify import EmbeddingViolation
@@ -347,19 +348,10 @@ def main(argv: list[str] | None = None) -> int:
     # --perfetto exports the span tree, so it implies span tracing even
     # when no JSONL --trace sink was asked for.
     tracer = Tracer() if (args.trace is not None or args.perfetto is not None) else None
-    causal_recorder = None
-    flight_recorder = None
+    causal_recorder = CausalRecorder() if args.causal or args.perfetto is not None else None
+    flight_recorder = FlightRecorder() if args.flight is not None else None
     overrides = contextlib.ExitStack()
-    if args.causal or args.perfetto is not None:
-        from .obs import CausalRecorder, causal_override
-
-        causal_recorder = CausalRecorder()
-        overrides.enter_context(causal_override(causal_recorder))
-    if args.flight is not None:
-        from .obs import FlightRecorder, flight_override
-
-        flight_recorder = FlightRecorder()
-        overrides.enter_context(flight_override(flight_recorder))
+    overrides.enter_context(observe(causal_recorder, flight_recorder))
     # Open the trace sink before the (possibly long) run so a bad path
     # fails fast instead of discarding the finished trace.
     trace_sink = None
@@ -384,7 +376,9 @@ def main(argv: list[str] | None = None) -> int:
         overrides.close()
         profile_rows = _stop_profiler(profiler)
         _dump_trace(tracer, trace_sink)
-        _dump_flight(flight_recorder, args.flight)
+        if flight_recorder is not None:
+            flight_recorder.dump(args.flight)
+            say(f"flight recorder dumped to {args.flight}")
         if args.perfetto is not None:
             from .obs import export_chrome_trace
 
@@ -410,8 +404,6 @@ def main(argv: list[str] | None = None) -> int:
                 max_retries=args.max_retries,
                 tracer=tracer,
                 faults=fault_plan,
-                flight=flight_recorder,
-                flight_path=args.flight,
             )
             say("algorithm: self-healing Theorem 1.1 pipeline")
             say(f"chaos schedule: {fault_plan.describe()}")
@@ -667,12 +659,6 @@ def _dump_trace(tracer: Tracer | None, sink) -> None:
     tracer.write_jsonl(sink)
     if sink is not sys.stdout:
         sink.close()
-
-
-def _dump_flight(recorder, path: str | None) -> None:
-    if recorder is None or path is None:
-        return
-    recorder.dump(path)
 
 
 def _say_causal(say, report: dict, result, graph) -> None:

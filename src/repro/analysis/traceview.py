@@ -14,12 +14,10 @@ header line followed by one line per span (flat, linked by
 
 from __future__ import annotations
 
-import json
-from collections.abc import Iterable, Mapping
-from pathlib import Path
+from collections.abc import Mapping
 from typing import Any
 
-from ..obs.tracer import TRACE_FORMAT_VERSION, Span, TraceFormatError
+from ..obs.tracer import TRACE_FORMAT_VERSION, Span, _read_jsonl
 
 __all__ = ["load_trace", "render_trace_tree", "render_phase_timeline"]
 
@@ -29,37 +27,13 @@ def load_trace(source: Any) -> Span:
 
     ``source`` may be a path (str/Path), an open text file, an iterable
     of lines, or a single string holding the whole document.  Raises
-    ``ValueError`` on malformed input or when no root span exists.
+    ``ValueError`` (a :class:`~repro.obs.tracer.TraceFormatError` for a
+    malformed line or another format version) on malformed input or
+    when no root span exists.
     """
-    if isinstance(source, (str, Path)) and "\n" not in str(source):
-        lines: Iterable[str] = Path(source).read_text().splitlines()
-    elif isinstance(source, str):
-        lines = source.splitlines()
-    elif hasattr(source, "read"):
-        lines = source.read().splitlines()
-    else:
-        lines = source
-
     spans: dict[int, Span] = {}
     roots: list[Span] = []
-    for lineno, line in enumerate(lines, 1):
-        line = line.strip()
-        if not line:
-            continue
-        try:
-            record = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise ValueError(f"trace line {lineno} is not JSON: {exc}") from exc
-        if not isinstance(record, dict):
-            raise TraceFormatError(f"trace line {lineno} is not an object")
-        if record.get("type") == "trace":
-            version = record.get("version")
-            if version != TRACE_FORMAT_VERSION:
-                raise TraceFormatError(
-                    f"unsupported trace format version {version!r}"
-                    f" (this build reads {TRACE_FORMAT_VERSION})"
-                )
-            continue
+    for _, record in _read_jsonl(source, "trace", TRACE_FORMAT_VERSION, "trace"):
         if record.get("type") != "span":
             continue  # future record types ride through
         sp = Span.from_dict(record)

@@ -51,8 +51,7 @@ from typing import Iterable
 from ..congest.faults import fault_override
 from ..congest.message import word_bits
 from ..congest.metrics import RoundMetrics
-from ..obs import Tracer, maybe_span
-from ..obs.causal import causal_override
+from ..obs import Tracer, maybe_span, observe
 from ..planar.graph import Graph, NodeId
 from ..planar.rotation import RotationSystem
 from .compact import (
@@ -130,12 +129,12 @@ def _patch_words(graph: Graph, certs: CertificateSet, nodes: Iterable[NodeId]) -
 def _reference_certificates(graph: Graph, rotation_system: RotationSystem) -> CertificateSet:
     """The omniscient prover's answer, with zero footprint.
 
-    Built on a throwaway ledger with ambient chaos and causal recording
-    suppressed: this is bookkeeping used to *source* patched label
-    values, not a distributed execution — the distributed cost of the
-    patch is charged explicitly by the callers.
+    Built on a throwaway ledger with ambient chaos and every installed
+    recorder suppressed: this is bookkeeping used to *source* patched
+    label values, not a distributed execution — the distributed cost of
+    the patch is charged explicitly by the callers.
     """
-    with fault_override(None), causal_override(None):
+    with fault_override(None), observe():
         return build_certificates(graph, rotation_system, metrics=RoundMetrics())
 
 

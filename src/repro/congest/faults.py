@@ -56,7 +56,6 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 from typing import Any, Iterator
 
-from ..obs.flightrec import default_flight_recorder
 from .errors import FaultSpecError, MessageCorruptionError
 from .message import Message, flip_bit
 
@@ -370,13 +369,20 @@ class FaultState:
     Created by :class:`~repro.congest.network.CongestNetwork` when a
     plan is active; owns the delayed-delivery queue and the per-round
     victim sets, and classifies recovery traffic for the ledger.
+
+    :class:`FaultStats` counts what it did whether or not anything
+    records; recorders see each frame's fate as one ``on_event`` call on
+    the network's ``observer``: ``send`` on the sender's lane;
+    ``link-drop``, ``drop``, ``corruption-detected``, ``delay``,
+    ``deliver`` and ``duplicate`` on the receiver's (``frm`` names the
+    sender); ``crash-inbox-drop`` on the crashed node's.
     """
 
     __slots__ = (
         "injector", "plan", "stats", "graph", "_nodes", "_edges", "_offset",
         "_delayed", "current_round", "_crashed", "restarted", "_down_links",
         "_round_payload", "_round_recovery", "_run_recovery_msgs",
-        "_run_recovery_words", "_run_recovery_rounds", "_on_fault", "_flight",
+        "_run_recovery_words", "_run_recovery_rounds", "observer",
     )
 
     def __init__(self, injector: FaultInjector, graph: Any, observer: Any = None) -> None:
@@ -397,11 +403,7 @@ class FaultState:
         self._run_recovery_msgs = 0
         self._run_recovery_words = 0
         self._run_recovery_rounds = 0
-        self._on_fault = getattr(observer, "on_fault", None) if observer is not None else None
-        # Crash flight recorder (repro.obs.flightrec): fetched once here,
-        # like the injector — no recorder installed means no per-frame
-        # flight code at all.
-        self._flight = default_flight_recorder()
+        self.observer = observer
 
     # -- round lifecycle ---------------------------------------------------
 
@@ -443,10 +445,8 @@ class FaultState:
                 box = in_flight.pop(v, None)
                 if box:
                     self.stats.crash_inbox_drops += len(box)
-                    if self._on_fault is not None:
-                        self._on_fault("crash-inbox-drop", round_no, v, len(box))
-                    if self._flight is not None:
-                        self._flight.record(
+                    if self.observer is not None:
+                        self.observer.on_event(
                             v, "crash-inbox-drop", round_no, frames=len(box)
                         )
         return in_flight
@@ -533,26 +533,19 @@ class FaultState:
         plan = self.plan
         g = self._offset + self.current_round
         seed = plan.seed
-        on_fault = self._on_fault
-        flight = self._flight
-        if flight is not None:
-            flight.record(
-                sender, "send", self.current_round, to=repr(receiver), words=words
-            )
+        obs = self.observer
+        if obs is not None:
+            obs.on_event(sender, "send", self.current_round, to=repr(receiver), words=words)
 
         if self._down_links and frozenset((sender, receiver)) in self._down_links:
             stats.link_dropped += 1
-            if on_fault is not None:
-                on_fault("link-drop", self.current_round, sender, receiver)
-            if flight is not None:
-                flight.record(receiver, "link-drop", self.current_round, frm=repr(sender))
+            if obs is not None:
+                obs.on_event(receiver, "link-drop", self.current_round, frm=repr(sender))
             return
         if plan.drop_rate and _unit(seed, "drop", g, sender, receiver) < plan.drop_rate:
             stats.dropped += 1
-            if on_fault is not None:
-                on_fault("drop", self.current_round, sender, receiver)
-            if flight is not None:
-                flight.record(receiver, "drop", self.current_round, frm=repr(sender))
+            if obs is not None:
+                obs.on_event(receiver, "drop", self.current_round, frm=repr(sender))
             return
         if plan.corruption_rate and (
             _unit(seed, "corrupt", g, sender, receiver) < plan.corruption_rate
@@ -561,10 +554,8 @@ class FaultState:
             payload, detected = self._corrupt(sender, receiver, payload, g)
             if detected:
                 stats.corruption_detected += 1
-                if on_fault is not None:
-                    on_fault("corruption-detected", self.current_round, sender, receiver)
-                if flight is not None:
-                    flight.record(
+                if obs is not None:
+                    obs.on_event(
                         receiver, "corruption-detected", self.current_round,
                         frm=repr(sender),
                     )
@@ -577,10 +568,8 @@ class FaultState:
                 _unit(seed, "delay-by", g, sender, receiver) * plan.max_delay
             ) % plan.max_delay
             stats.delayed += 1
-            if on_fault is not None:
-                on_fault("delay", self.current_round, sender, receiver)
-            if flight is not None:
-                flight.record(
+            if obs is not None:
+                obs.on_event(
                     receiver, "delay", self.current_round,
                     frm=repr(sender), until=arrival + extra,
                 )
@@ -591,8 +580,8 @@ class FaultState:
                 in_flight[receiver] = {sender: payload}
             else:
                 box[sender] = payload
-            if flight is not None:
-                flight.record(receiver, "deliver", self.current_round, frm=repr(sender))
+            if obs is not None:
+                obs.on_event(receiver, "deliver", self.current_round, frm=repr(sender))
         stats.delivered += 1
 
         if plan.duplicate_rate and (
@@ -602,10 +591,8 @@ class FaultState:
                 1, plan.max_delay
             )
             stats.duplicated += 1
-            if on_fault is not None:
-                on_fault("duplicate", self.current_round, sender, receiver)
-            if flight is not None:
-                flight.record(
+            if obs is not None:
+                obs.on_event(
                     receiver, "duplicate", self.current_round,
                     frm=repr(sender), echo=arrival + echo,
                 )

@@ -285,27 +285,14 @@ class Message:
 
     ``encode``/``decode`` round-trip through the length-prefixed,
     CRC-32-protected byte frame described in the module docstring.
-
-    ``lamport`` optionally piggybacks the sender's Lamport chain clock
-    (see :mod:`repro.obs.causal`) on the frame: when set, the body is a
-    4-tuple ``(sender, receiver, payload, lamport)`` — a constant O(log
-    rounds)-bit rider, so it never changes the *word* measurement of the
-    payload the bandwidth discipline charges.  Decoding accepts both
-    shapes, so traced and untraced peers interoperate.
     """
 
     sender: Any
     receiver: Any
     payload: Any
-    lamport: int | None = None
 
     def encode(self) -> bytes:
-        if self.lamport is None:
-            body = encode_payload((self.sender, self.receiver, self.payload))
-        else:
-            body = encode_payload(
-                (self.sender, self.receiver, self.payload, self.lamport)
-            )
+        body = encode_payload((self.sender, self.receiver, self.payload))
         return struct.pack(">I", len(body)) + body + struct.pack(">I", zlib.crc32(body))
 
     @classmethod
@@ -323,14 +310,10 @@ class Message:
         if zlib.crc32(body) != crc:
             raise MessageCorruptionError("CRC-32 checksum mismatch")
         fields = decode_payload(body)
-        if not isinstance(fields, tuple) or len(fields) not in (3, 4):
+        if not isinstance(fields, tuple) or len(fields) != 3:
             raise MessageCorruptionError(
-                "frame body is not a (sender, receiver, payload[, lamport]) tuple"
+                "frame body is not a (sender, receiver, payload) tuple"
             )
-        if len(fields) == 4 and not (
-            isinstance(fields[3], int) and not isinstance(fields[3], bool)
-        ):
-            raise MessageCorruptionError("frame lamport stamp is not an integer")
         return cls(*fields)
 
 

@@ -5,18 +5,20 @@ flows through one :class:`RoundMetrics` ledger, so the experiment harness
 can report a single, auditable round count per run, broken down by phase
 (the provenance of every charged cost is retained).
 
-Observability hooks: a ledger may carry an *observer* (any object with
-``on_round(round_no, messages, words, max_edge_words)`` and
-``on_charge(charge)`` — in practice a :class:`repro.obs.Tracer`).  The
-simulator reads the slot once per execution and skips all notification
-code when it is ``None``, so untraced runs pay nothing on the per-round
-hot path.
+Observability hooks: a ledger may carry an *observer*, a
+:class:`repro.obs.sinks.Sink` — in practice a :class:`repro.obs.Tracer`.
+The ledger calls its ``on_charge``; a network joins it with the
+installed sinks into the one observer it calls at construction, and
+runs no notification code when that is ``None``, so untraced runs pay
+nothing on the per-round hot path.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from typing import Any
+
+from ..obs.sinks import Sink
 
 __all__ = ["Charge", "RoundMetrics"]
 
@@ -80,7 +82,7 @@ class RoundMetrics:
     phase_rounds: dict[str, int] = field(default_factory=dict)
     # Observability slot — not part of the ledger's value (excluded from
     # comparison and serialization).  See module docstring.
-    observer: Any | None = field(default=None, repr=False, compare=False)
+    observer: Sink | None = field(default=None, repr=False, compare=False)
 
     # -- real execution ----------------------------------------------------
 

@@ -25,6 +25,9 @@ enforces differentially.  The policies differ only in how the node
 activations split: ``node_activations`` (calls made) plus
 ``activations_saved`` (calls skipped) is the same under both, and the
 dense policy skips only the nodes inside a crash window.
+
+Recorders hear a network through one ``observer`` joined at construction
+(:mod:`repro.obs.sinks`); when it is ``None`` no event code runs.
 """
 
 from __future__ import annotations
@@ -33,7 +36,7 @@ from collections.abc import Callable, Mapping
 from contextlib import contextmanager
 from typing import Any, Iterator
 
-from ..obs.causal import default_causal_recorder
+from ..obs.sinks import observer, reads_messages
 from ..planar.graph import Graph, NodeId
 from .errors import BandwidthExceededError, ProtocolViolationError, RoundLimitExceededError
 from .faults import FaultInjector, FaultPlan, FaultState, default_fault_injector
@@ -114,9 +117,9 @@ class CongestNetwork:
         self.metrics = metrics if metrics is not None else RoundMetrics()
         self.word_bits = word_bits(max(1, graph.num_nodes))
         self.scheduler = _default_scheduler
-        # Per-round observer (e.g. a repro.obs.Tracer), inherited from the
-        # ledger; None means the round loop runs with no tracing code at all.
-        self.observer = getattr(self.metrics, "observer", None)
+        # The ledger's observer (e.g. a repro.obs.Tracer) and the installed
+        # sinks as one; None means the round loop runs no event code at all.
+        self.observer = observer(self.metrics.observer)
         if faults is None:
             injector = default_fault_injector()
         elif isinstance(faults, FaultInjector):
@@ -126,14 +129,6 @@ class CongestNetwork:
         self._fault_state: FaultState | None = (
             FaultState(injector, graph, self.observer) if injector is not None else None
         )
-        # The single delivery hook: the round loop posts every outbox
-        # through ``self._deliver``.  A causal recorder (see
-        # repro.obs.causal) installed via ``causal_override`` wraps it
-        # once, here; an unrecorded network keeps the unwrapped poster.
-        self._deliver = self._post_outbox
-        self._causal = default_causal_recorder()
-        if self._causal is not None:
-            self._deliver = self._causal.wrap_post(self._deliver)
 
     @property
     def fault_stats(self):
@@ -172,19 +167,19 @@ class CongestNetwork:
             # ``recovery`` ledger tag accounts.
             programs, extra_bandwidth = self._wrap_reliable(programs)
             self.bandwidth_words += extra_bandwidth
-        causal = self._causal
-        if causal is not None:
-            causal.begin_execution(phase)
+        observer = self.observer
+        if observer is not None:
+            observer.on_execution(phase)
         if fs is not None:
             fs.start_run()
         rounds_used = None
         try:
             rounds_used, activated, iterations = self._loop(programs, max_rounds, phase)
         finally:
-            # A None rounds_used tells the recorder the execution died
-            # mid-flight; the partial causal chain is still recorded.
-            if causal is not None:
-                causal.end_execution(rounds_used)
+            # A None rounds_used tells the sinks the execution died
+            # mid-flight; a partial causal chain is still recorded.
+            if observer is not None:
+                observer.on_execution_end(rounds_used)
             # Advance the injector's global clock even when the execution
             # failed — a retried phase must see fresh fault draws and run
             # past any crash/outage window the failed attempt died in.
@@ -264,7 +259,14 @@ class CongestNetwork:
         observer = self.observer
         metrics = self.metrics
         fs = self._fault_state
-        post_outbox = self._deliver
+        post_outbox = self._post_outbox
+        if observer is not None and reads_messages(observer):
+            # A sink that reads messages sees each outbox before delivery.
+            on_post, deliver = observer.on_post, post_outbox
+
+            def post_outbox(sender, outbox, in_flight):
+                on_post(sender, outbox, in_flight)
+                return deliver(sender, outbox, in_flight)
         in_flight: dict[NodeId, dict[NodeId, Any]] = {}
         rounds_used = activated = 0
         iterations = 1  # the on_start sweep

@@ -31,6 +31,9 @@ retransmissions the sender raises
 :class:`~repro.congest.errors.RetransmitBudgetExceededError` — the
 typed give-up signal the self-healing driver converts into a retry of
 the surrounding phase.
+
+Retransmissions and the give-up are ``arq-retransmit`` / ``arq-give-up``
+events on the installed sinks (:mod:`repro.obs.sinks`).
 """
 
 from __future__ import annotations
@@ -38,7 +41,7 @@ from __future__ import annotations
 from collections import deque
 from typing import Any, Callable, Mapping
 
-from ..obs.flightrec import default_flight_recorder
+from ..obs.sinks import observer
 from ..planar.graph import Graph, NodeId
 from .errors import RetransmitBudgetExceededError
 from .faults import (
@@ -107,12 +110,7 @@ class ReliableProgram(NodeProgram):
         self.max_attempts = max_attempts
         self._links: dict[NodeId, _Link] = {v: _Link() for v in neighbors}
         self.retransmits = 0
-        self.pure_acks = 0
-        self.duplicates_dropped = 0
-        # Crash flight recorder, fetched once like the fault state's; ARQ
-        # events (retransmit, give-up) are the flight lane's narrative of
-        # why a chaos run died.
-        self._flight = default_flight_recorder()
+        self._observer = observer()
 
     # -- scheduler contract ------------------------------------------------
 
@@ -165,7 +163,6 @@ class ReliableProgram(NodeProgram):
             else:
                 # A duplicate (fault-layer copy, or a retransmission that
                 # crossed our ack): already delivered — re-ack, drop.
-                self.duplicates_dropped += 1
                 link.ack_owed = True
         inner = self.inner
         if inner_inbox or inner.needs_wakeup or not inner.event_driven:
@@ -204,10 +201,10 @@ class ReliableProgram(NodeProgram):
                         f" unacknowledged after {link.out_attempts} attempts"
                         f" (rto reached {link.out_rto} rounds)"
                     )
-                    if self._flight is not None:
-                        # Recorded before the raise, so the recorder's
+                    if self._observer is not None:
+                        # Recorded before the raise, so a flight recorder's
                         # globally-last event matches the raised error.
-                        self._flight.record(
+                        self._observer.on_event(
                             self.node, "arq-give-up", round_no,
                             to=repr(receiver), seq=link.out_seq,
                             attempts=link.out_attempts,
@@ -219,8 +216,8 @@ class ReliableProgram(NodeProgram):
                 link.out_rto = max(1, int(link.out_rto * self.backoff))
                 link.ack_owed = False
                 self.retransmits += 1
-                if self._flight is not None:
-                    self._flight.record(
+                if self._observer is not None:
+                    self._observer.on_event(
                         self.node, "arq-retransmit", round_no,
                         to=repr(receiver), seq=link.out_seq,
                         attempt=link.out_attempts, rto=link.out_rto,
@@ -228,7 +225,6 @@ class ReliableProgram(NodeProgram):
                 out[receiver] = (RELIABLE_RETX_TAG, link.out_seq, ack, link.out_payload)
             elif link.ack_owed:
                 link.ack_owed = False
-                self.pure_acks += 1
                 out[receiver] = (RELIABLE_ACK_TAG, ack)
         return out
 

@@ -28,8 +28,7 @@ from typing import TYPE_CHECKING
 
 from ..congest.faults import default_fault_injector
 from ..congest.metrics import RoundMetrics
-from ..obs import Tracer, maybe_span
-from ..obs.causal import CausalRecorder, causal_override, default_causal_recorder
+from ..obs import CausalRecorder, Tracer, installed, maybe_span
 from ..planar.graph import Graph, NodeId, edge_id
 from ..planar.rotation import RotationSystem
 from ..planar.verify import verify_planar_embedding
@@ -77,7 +76,7 @@ class EmbeddingResult:
     heal_attempts: int = 0  # self-healing attempts consumed (0 = plain run)
     heal_log: list[str] = field(default_factory=list)  # what healing saw and did
     fault_stats: dict | None = None  # chaos-layer counters (None = no fault plan)
-    causal: dict | None = None  # causal-report dict (None = no recorder attached)
+    causal: dict | None = None  # causal-report dict (None = no recorder installed)
 
     @property
     def rounds(self) -> int:
@@ -248,7 +247,6 @@ class DistributedPlanarEmbedding:
         splitter_strategy: str = "balanced",
         tracer: Tracer | None = None,
         certify: bool = False,
-        causal: "CausalRecorder | None" = None,
     ) -> None:
         """``bandwidth_words`` is the per-edge word budget used in the
         pipelined round charges (CONGEST's ``O(log n)`` bits = O(1)
@@ -261,10 +259,11 @@ class DistributedPlanarEmbedding:
         ``certify`` appends the certification phases (see
         :mod:`repro.certify`): every node gets an O(log n)-bit proof
         label and the distributed verifier re-checks the output in O(D)
-        rounds, all charged to the same ledger and trace.  ``causal`` (a
-        :class:`repro.obs.causal.CausalRecorder`) installs message-level
-        causal tracing for every network the run creates; the
-        critical-path report lands on ``EmbeddingResult.causal``."""
+        rounds, all charged to the same ledger and trace.  A
+        :class:`repro.obs.causal.CausalRecorder` installed with
+        :func:`repro.obs.observe` around :meth:`run` records every
+        network the run creates; its critical-path report lands on
+        ``EmbeddingResult.causal``."""
         if graph.num_nodes == 0:
             raise ValueError("cannot embed an empty network")
         if not graph.is_connected():
@@ -276,7 +275,6 @@ class DistributedPlanarEmbedding:
         self.splitter_strategy = splitter_strategy
         self.tracer = tracer
         self.certify = certify
-        self.causal = causal
         self.last_metrics: RoundMetrics | None = None  # set by run(), kept on failure
 
     def run(self) -> EmbeddingResult:
@@ -294,12 +292,9 @@ class DistributedPlanarEmbedding:
         if tracer is not None:
             metrics.observer = tracer
         self.last_metrics = metrics
-        # An explicit recorder is installed for every network this run
-        # creates; otherwise an ambient causal_override (if any) already
-        # covers them, so re-installing it is a no-op.
-        recorder = self.causal if self.causal is not None else default_causal_recorder()
+        recorder = next((s for s in installed() if isinstance(s, CausalRecorder)), None)
         injector = default_fault_injector()
-        with causal_override(recorder), maybe_span(
+        with maybe_span(
             tracer, "run", kind="run", n=graph.num_nodes, m=graph.num_edges
         ) as run_span:
             result = self._run_traced(graph, metrics, tracer)
@@ -440,12 +435,11 @@ def distributed_planar_embedding(
     verify: bool = True,
     tracer: Tracer | None = None,
     certify: bool = False,
-    causal: "CausalRecorder | None" = None,
 ) -> EmbeddingResult:
     """Convenience wrapper around :class:`DistributedPlanarEmbedding`."""
     return DistributedPlanarEmbedding(
         graph, bandwidth_words=bandwidth_words, verify=verify, tracer=tracer,
-        certify=certify, causal=causal,
+        certify=certify,
     ).run()
 
 
@@ -457,8 +451,6 @@ def self_healing_embedding(
     faults=None,
     corrupt_hook=None,
     splitter_strategy: str = "balanced",
-    flight=None,
-    flight_path=None,
 ) -> "EmbeddingResult | DegradedResult":
     """Run the embedding with certificate-driven self-healing.
 
@@ -488,13 +480,13 @@ def self_healing_embedding(
     tests — may tamper with ``result.rotation`` / ``result.certificates``
     before verification and return a description of the damage.
 
-    ``flight`` (a :class:`repro.obs.flightrec.FlightRecorder`) attaches
-    the crash flight recorder to every fault state and ARQ wrapper the
-    run creates; under an active fault plan one is created automatically
-    when none is given.  Every caught error is recorded on the driver
-    lane, a :class:`DegradedResult` carries the recorder on ``.flight``,
-    and when ``flight_path`` is set the JSONL dump is written there
-    automatically on a degraded outcome or an escaping typed error.
+    The crash flight recorder is the installed
+    :class:`repro.obs.flightrec.FlightRecorder` (see
+    :func:`repro.obs.observe`); under an active fault plan with none
+    installed the driver installs one of its own for the run.  Every
+    caught error is recorded on the driver lane, and a
+    :class:`DegradedResult` carries the recorder on ``.flight`` for the
+    caller to dump.
 
     Returns the healed :class:`EmbeddingResult` (with ``heal_attempts``,
     ``heal_log``, and ``fault_stats`` filled in), or a structured
@@ -505,7 +497,7 @@ def self_healing_embedding(
     """
     from ..certify import build_certificates
     from ..congest.faults import FaultInjector, fault_override
-    from ..obs.flightrec import FlightRecorder, default_flight_recorder, flight_override
+    from ..obs import FlightRecorder, observe
 
     if max_retries < 0:
         raise ValueError("max_retries must be >= 0")
@@ -514,13 +506,12 @@ def self_healing_embedding(
         if isinstance(faults, (FaultInjector, type(None)))
         else FaultInjector(faults)
     )
-    recorder = flight
-    if recorder is None:
-        recorder = default_flight_recorder()
+    recorder = next((s for s in installed() if isinstance(s, FlightRecorder)), None)
+    own = None
     if recorder is None and injector is not None and not injector.plan.is_null:
         # Chaos without a black box is undebuggable: under an active
         # fault plan the driver always keeps one.
-        recorder = FlightRecorder()
+        recorder = own = FlightRecorder()
     master = RoundMetrics()
     if tracer is not None:
         master.observer = tracer
@@ -536,12 +527,7 @@ def self_healing_embedding(
     def stats() -> dict | None:
         return injector.stats.to_dict() if injector is not None else None
 
-    def dump_flight() -> None:
-        if recorder is not None and flight_path is not None:
-            recorder.dump(flight_path)
-            heal_log.append(f"flight recorder dumped to {flight_path}")
-
-    with fault_override(injector), flight_override(recorder), maybe_span(
+    with fault_override(injector), observe(*installed(), own), maybe_span(
         tracer, "self-healing", kind="run", n=graph.num_nodes, m=graph.num_edges
     ) as span:
         while attempts < budget:
@@ -594,7 +580,6 @@ def self_healing_embedding(
                         recorder.note_error(
                             _np_exc, attempt=attempts, stage=stage, confirmed=True
                         )
-                    dump_flight()
                     raise
                 last_error = None
                 heal_log.append(
@@ -698,7 +683,6 @@ def self_healing_embedding(
         )
     else:
         diagnosis = f"no certified embedding within {attempts} attempts"
-    dump_flight()
     return DegradedResult(
         graph=graph,
         rotation=result.rotation if result is not None else None,

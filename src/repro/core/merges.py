@@ -236,7 +236,6 @@ def _skeleton_merge(
 ) -> PartEmbedding | None:
     """The faithful skeleton-based merge; ``None`` when verification fails."""
     skeletons = {}
-    owner: dict[NodeId, int] = {}
     connecting_keys = {frozenset(e) for e in connecting}
     for p in parts:
         # One biconnected decomposition per part serves both its full
@@ -248,8 +247,6 @@ def _skeleton_merge(
         result.up_words[p.part_id] = _reduced_summary_words(
             p, connecting_keys, decomposition=decomp
         )
-        for v in p.graph.nodes():
-            owner[v] = p.part_id
 
     # The coordinator's instance: skeleton union + connecting edges + rest.
     instance = Graph()

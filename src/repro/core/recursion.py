@@ -81,9 +81,6 @@ class RecursionContext:
         self.index = RecursionIndex.build(self.tree)
         self.oracle = ScopedPlanarityOracle(self.current)
 
-    def max_level(self) -> int:
-        return max((r.level for r in self.trace), default=0)
-
     def try_split(self, copy: NodeId, coordinator: NodeId, rerouted: list[NodeId]) -> bool:
         """Validate a step-2(e) split-off against the evolving network.
 

@@ -8,9 +8,12 @@ of a run is *where the rounds went*.  This package provides:
   ``DistributedPlanarEmbedding(graph, tracer=Tracer())`` traces a run,
   ``tracer.write_jsonl(fp)`` dumps the span tree as JSONL, and
   ``repro.analysis.load_trace`` / ``render_trace_tree`` read it back;
+* the :class:`Sink` protocol (:mod:`repro.obs.sinks`): the one event
+  path every recorder hangs on — ``with observe(recorder): ...``
+  installs recorders for every network the block creates;
 * the :class:`CausalRecorder` (:mod:`repro.obs.causal`): per-node
-  Lamport chain clocks at the delivery hook, yielding the critical path
-  — the longest happens-before chain of messages — per phase;
+  Lamport chain clocks over every posted outbox, yielding the critical
+  path — the longest happens-before chain of messages — per phase;
 * the :class:`FlightRecorder` (:mod:`repro.obs.flightrec`): bounded
   per-node ring buffers of delivery/fault/ARQ events, dumped as JSONL
   when a chaos run dies;
@@ -20,14 +23,10 @@ of a run is *where the rounds went*.  This package provides:
 See docs/API.md ("Observability") for the rollup and clock semantics.
 """
 
-from .causal import CausalRecorder, causal_override, default_causal_recorder
+from .causal import CausalRecorder
 from .export import chrome_trace, export_chrome_trace
-from .flightrec import (
-    FlightRecorder,
-    default_flight_recorder,
-    flight_override,
-    load_flight,
-)
+from .flightrec import FlightRecorder, load_flight
+from .sinks import Sink, installed, observe, observer
 from .tracer import Span, TraceEvent, TraceFormatError, Tracer, maybe_span
 
 __all__ = [
@@ -36,12 +35,12 @@ __all__ = [
     "TraceEvent",
     "TraceFormatError",
     "maybe_span",
+    "Sink",
+    "observe",
+    "installed",
+    "observer",
     "CausalRecorder",
-    "causal_override",
-    "default_causal_recorder",
     "FlightRecorder",
-    "flight_override",
-    "default_flight_recorder",
     "load_flight",
     "chrome_trace",
     "export_chrome_trace",

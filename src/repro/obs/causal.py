@@ -7,9 +7,9 @@ m1) before sending.  The longest such chain — the **critical path** —
 is the quantity the O(D·log n) analysis actually bounds, so this module
 makes it measurable.
 
-A :class:`CausalRecorder` attaches to the simulator's single delivery
-hook (``CongestNetwork._post_outbox``, which the round loop posts every
-outbox through) and maintains one Lamport chain-clock per node:
+A :class:`CausalRecorder` is a :class:`~repro.obs.sinks.Sink` that
+reads every posted outbox (``on_post``, called by the round loop before
+it delivers the outbox) and maintains one Lamport chain-clock per node:
 
 * **send**: a frame posted by ``v`` carries stamp ``L[v] + 1``;
 * **receive**: at the next round boundary the receiver merges
@@ -26,31 +26,27 @@ convergecast, broadcast — everything the pipeline's primitives are)
 every round's frontier extends a maximal chain, so equality holds and
 is asserted by ``tests/obs/test_causal.py`` and the E18 bench.
 
-Round boundaries are observed without touching the round loop: it
+Round boundaries need no callback of their own: the round loop
 allocates a fresh in-flight dict per round and the previous
 round's dict is still referenced (as the inbox map) while the next one
 is allocated, so consecutive rounds can never reuse an ``id`` — a
-change of in-flight dict identity at the delivery hook *is* the round
+change of in-flight dict identity in ``on_post`` *is* the round
 boundary.
 
-Attachment follows the process-default idiom of
-:func:`~repro.congest.faults.fault_override`: wrap a pipeline in
-:func:`causal_override` and every internally created network records
-into the same recorder.  With no recorder installed the simulator's
-delivery hook is the unwrapped original — the per-round hot path of an
-untraced run executes no causal code at all.
+Install a recorder with :func:`~repro.obs.sinks.observe` and every
+network created inside the block records into it; the embedding driver
+puts its report on ``EmbeddingResult.causal``.  A network with no sink
+that reads messages posts its outboxes directly — the per-round hot
+path of an unrecorded run executes no causal code at all.
 """
 
 from __future__ import annotations
 
-from contextlib import contextmanager
-from typing import Any, Iterator
+from typing import Any
 
-__all__ = [
-    "CausalRecorder",
-    "causal_override",
-    "default_causal_recorder",
-]
+from .sinks import Sink
+
+__all__ = ["CausalRecorder"]
 
 
 class _ExecState:
@@ -88,7 +84,7 @@ class _ExecState:
         return max(self.clock.values(), default=0)
 
 
-class CausalRecorder:
+class CausalRecorder(Sink):
     """Observes every delivered frame and computes per-phase critical paths.
 
     ``max_edges`` bounds the retained happens-before edge sample (the
@@ -108,14 +104,14 @@ class CausalRecorder:
         self._exec: _ExecState | None = None
         self._exec_index = 0
 
-    # -- CongestNetwork integration ---------------------------------------
+    # -- Sink protocol -----------------------------------------------------
 
-    def begin_execution(self, phase: str | None) -> None:
+    def on_execution(self, phase: str | None) -> None:
         """One ``CongestNetwork.run`` is starting (called by the network)."""
         self._exec = _ExecState(phase)
         self._exec_index += 1
 
-    def end_execution(self, rounds_used: int | None) -> None:
+    def on_execution_end(self, rounds_used: int | None) -> None:
         """The execution finished (``rounds_used`` is ``None`` when it
         died in an error — the partial chain is still recorded)."""
         st = self._exec
@@ -152,24 +148,10 @@ class CausalRecorder:
         chain.reverse()
         return chain
 
-    def wrap_post(self, post):
-        """Wrap the network's delivery hook; installed once per network
-        at construction, so unrecorded runs never reach this code."""
-
-        def observing_post(sender, outbox, in_flight):
-            self.observe(sender, outbox, in_flight)
-            return post(sender, outbox, in_flight)
-
-        return observing_post
-
-    def observe(self, sender, outbox, in_flight) -> None:
-        """One outbox is being posted: stamp its frames and sample edges."""
+    def on_post(self, sender, outbox, in_flight) -> None:
+        """One outbox is being posted: stamp its frames and sample edges
+        (``CongestNetwork.run`` opened the execution before any post)."""
         st = self._exec
-        if st is None:
-            # A network driven outside run() (unit tests poking loops):
-            # open an anonymous execution rather than dropping the data.
-            st = self._exec = _ExecState(None)
-            self._exec_index += 1
         fid = id(in_flight)
         if fid != st.inflight_id:
             # New in-flight dict = new round: everything delivered into
@@ -245,29 +227,3 @@ class CausalRecorder:
         if include_edges:
             out["edges"] = list(self.edges)
         return out
-
-
-_default_recorder: CausalRecorder | None = None
-
-
-def default_causal_recorder() -> CausalRecorder | None:
-    """The recorder new networks pick up (None = no causal code runs)."""
-    return _default_recorder
-
-
-@contextmanager
-def causal_override(recorder: CausalRecorder | None) -> Iterator[CausalRecorder | None]:
-    """Install ``recorder`` as the process-default causal recorder.
-
-    Every :class:`~repro.congest.network.CongestNetwork` created inside
-    the block wraps its delivery hook with the recorder — this is how
-    causal tracing reaches the networks the embedding pipeline creates
-    internally, mirroring :func:`~repro.congest.faults.fault_override`.
-    """
-    global _default_recorder
-    previous = _default_recorder
-    _default_recorder = recorder
-    try:
-        yield recorder
-    finally:
-        _default_recorder = previous

@@ -10,23 +10,22 @@ faults, ARQ retransmissions and give-ups, driver-level errors), so
 every failure leaves a debuggable artifact at O(n·K) memory no matter
 how long the run was.
 
-Event sources (all opt-in, all fetched once at construction time so an
-unattached recorder costs the hot path nothing):
+The recorder is a :class:`~repro.obs.sinks.Sink` (``on_event`` is
+:meth:`FlightRecorder.record`) installed with :func:`~repro.obs.observe`;
+an uninstalled one costs these event sources nothing:
 
 * :class:`~repro.congest.faults.FaultState` — per-frame send/fault
   events at the delivery hook (chaos runs only; clean runs have no
-  fault state and therefore no flight code at all);
-* :class:`~repro.congest.reliable.ReliableProgram` — retransmissions,
-  duplicate drops, and the give-up that raises
-  ``RetransmitBudgetExceededError`` (recorded *before* the raise, so
-  the recorder's globally-last event always matches the raised error);
-* :func:`~repro.core.algorithm.self_healing_embedding` — escalation
-  ladder decisions and caught errors, under the ``__driver__`` lane.
-
-Attachment follows the process-default idiom of
-:func:`~repro.congest.faults.fault_override`: install a recorder with
-:func:`flight_override` and every fault state / ARQ wrapper created
-inside the block records into it.
+  fault state and therefore no per-frame event code at all);
+* :class:`~repro.congest.reliable.ReliableProgram` — retransmissions
+  and the give-up that raises ``RetransmitBudgetExceededError``
+  (recorded *before* the raise, so the recorder's globally-last event
+  always matches the raised error);
+* :func:`~repro.core.algorithm.self_healing_embedding` — caught errors
+  under the ``__driver__`` lane (it installs a recorder of its own
+  under an active fault plan when none is installed);
+* :class:`~repro.serve.driver.ServiceDriver` — serving-layer faults
+  under the ``__service__`` lane.
 
 The dump is JSONL — a header line, then one line per event in global
 order (a monotone sequence number orders events across nodes) — and
@@ -38,19 +37,17 @@ from __future__ import annotations
 
 import json
 from collections import deque
-from contextlib import contextmanager
 from pathlib import Path
 from typing import Any, Iterator, TextIO
 
-from .tracer import TraceFormatError
+from .sinks import Sink
+from .tracer import TraceFormatError, _read_jsonl
 
 __all__ = [
     "FlightRecorder",
     "FLIGHT_FORMAT_VERSION",
     "DRIVER_LANE",
     "SERVICE_LANE",
-    "flight_override",
-    "default_flight_recorder",
     "load_flight",
 ]
 
@@ -65,7 +62,7 @@ DRIVER_LANE = "__driver__"
 SERVICE_LANE = "__service__"
 
 
-class FlightRecorder:
+class FlightRecorder(Sink):
     """Per-node ring buffers of the last ``capacity`` events each."""
 
     def __init__(self, capacity: int = 64) -> None:
@@ -93,6 +90,8 @@ class FlightRecorder:
             "round": round_no,
             "detail": detail,
         })
+
+    on_event = record
 
     def note_error(self, error: BaseException, round_no: int | None = None, **detail: Any) -> None:
         """Record a caught/raised error on the driver lane."""
@@ -153,56 +152,10 @@ def load_flight(source: Any) -> list[dict[str, Any]]:
     string.  Raises :class:`TraceFormatError` on malformed input or an
     unsupported format version.
     """
-    if isinstance(source, (str, Path)) and "\n" not in str(source):
-        lines: list[str] = Path(source).read_text().splitlines()
-    elif isinstance(source, str):
-        lines = source.splitlines()
-    elif hasattr(source, "read"):
-        lines = source.read().splitlines()
-    else:
-        lines = list(source)
     events: list[dict[str, Any]] = []
-    for lineno, line in enumerate(lines, 1):
-        line = line.strip()
-        if not line:
-            continue
-        try:
-            record = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise TraceFormatError(f"flight line {lineno} is not JSON: {exc}") from exc
-        if not isinstance(record, dict):
-            raise TraceFormatError(f"flight line {lineno} is not an object")
-        if record.get("type") == "flight":
-            version = record.get("version")
-            if version != FLIGHT_FORMAT_VERSION:
-                raise TraceFormatError(
-                    f"unsupported flight-recorder format version {version!r}"
-                    f" (this build reads {FLIGHT_FORMAT_VERSION})"
-                )
-            continue
+    for lineno, record in _read_jsonl(source, "flight", FLIGHT_FORMAT_VERSION, "flight-recorder"):
         for key in ("seq", "node", "kind"):
             if key not in record:
                 raise TraceFormatError(f"flight line {lineno} lacks {key!r}")
         events.append(record)
     return events
-
-
-_default_recorder: FlightRecorder | None = None
-
-
-def default_flight_recorder() -> FlightRecorder | None:
-    """The recorder chaos components pick up (None = record nothing)."""
-    return _default_recorder
-
-
-@contextmanager
-def flight_override(recorder: FlightRecorder | None) -> Iterator[FlightRecorder | None]:
-    """Install ``recorder`` as the process-default flight recorder for
-    every fault state and ARQ wrapper created inside the block."""
-    global _default_recorder
-    previous = _default_recorder
-    _default_recorder = recorder
-    try:
-        yield recorder
-    finally:
-        _default_recorder = previous

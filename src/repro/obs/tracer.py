@@ -7,8 +7,8 @@ choices, bandwidth high-water marks).  Spans carry wall-clock time
 alongside CONGEST model rounds, so one trace answers both "where did
 the rounds go" and "where did the seconds go".
 
-Round accounting is *push-based*: the tracer implements the
-:class:`~repro.congest.metrics.RoundMetrics` observer protocol
+Round accounting is *push-based*: the tracer is a
+:class:`~repro.obs.sinks.Sink` and the ledger's observer
 (``on_round`` / ``on_charge``), so every real round and every charged
 cost lands on whatever span is currently open.  The rollup semantics
 mirror the ledger's composition rules exactly:
@@ -21,10 +21,9 @@ hence ``root.total_rounds() == RoundMetrics.rounds`` for a traced run
 (tested in ``tests/obs``).
 
 Attaching a tracer costs two attribute checks per span site; with no
-tracer attached the per-round hot path of
+tracer attached and no sink installed the per-round hot path of
 :class:`~repro.congest.network.CongestNetwork` executes no tracer code
-at all (the observer slot is ``None`` and never consulted again after
-``run()`` reads it once).
+at all (its observer, joined once at construction, is ``None``).
 """
 
 from __future__ import annotations
@@ -34,11 +33,19 @@ import json
 import time
 from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass, field
+from pathlib import Path
 from typing import Any, Iterator, TextIO
+
+from .sinks import Sink
 
 __all__ = ["TraceEvent", "Span", "Tracer", "TraceFormatError", "maybe_span"]
 
 TRACE_FORMAT_VERSION = 1
+
+#: The fault layer's event kinds that become ``fault`` span events.
+_FAULT_KINDS = frozenset((
+    "link-drop", "drop", "corruption-detected", "delay", "duplicate", "crash-inbox-drop",
+))
 
 
 class TraceFormatError(ValueError):
@@ -50,6 +57,39 @@ class TraceFormatError(ValueError):
     ``ValueError`` so pre-existing ``except ValueError`` handlers (the
     CLI's ``--view-trace``) keep working.
     """
+
+
+def _read_jsonl(source: Any, header: str, version: int, name: str) -> Iterator[tuple[int, dict]]:
+    """Yield ``(line number, record)`` per record of a JSONL trace or
+    flight dump (``source``: a path, open file, lines, or the document
+    as one string) after checking its ``type: header`` line's version.
+    Raises :class:`TraceFormatError` on malformed input."""
+    if isinstance(source, (str, Path)) and "\n" not in str(source):
+        lines: Any = Path(source).read_text().splitlines()
+    elif isinstance(source, str):
+        lines = source.splitlines()
+    elif hasattr(source, "read"):
+        lines = source.read().splitlines()
+    else:
+        lines = source
+    for lineno, line in enumerate(lines, 1):
+        line = line.strip()
+        if not line:
+            continue
+        try:
+            record = json.loads(line)
+        except json.JSONDecodeError as exc:
+            raise TraceFormatError(f"{header} line {lineno} is not JSON: {exc}") from exc
+        if not isinstance(record, dict):
+            raise TraceFormatError(f"{header} line {lineno} is not an object")
+        if record.get("type") == header:
+            if record.get("version") != version:
+                raise TraceFormatError(
+                    f"unsupported {name} format version {record.get('version')!r}"
+                    f" (this build reads {version})"
+                )
+            continue
+        yield lineno, record
 
 
 def _require(condition: bool, what: str) -> None:
@@ -203,13 +243,15 @@ class Span:
         )
 
 
-class Tracer:
+class Tracer(Sink):
     """Collects spans and events for one (or several) runs.
 
     Doubles as a :class:`RoundMetrics` observer: attach it with
     ``metrics.observer = tracer`` (done automatically by
     ``DistributedPlanarEmbedding(..., tracer=...)``) and every real
-    round / charged cost is attributed to the currently open span.
+    round / charged cost is attributed to the currently open span.  It is
+    not installed with ``observe``: spans need a handle threaded through
+    the recursion, and an installed tracer would hear every ledger.
     """
 
     def __init__(self, clock=time.perf_counter) -> None:
@@ -261,7 +303,7 @@ class Tracer:
         self._stack[-1].events.append(ev)
         return ev
 
-    # -- RoundMetrics observer protocol ------------------------------------
+    # -- Sink protocol -----------------------------------------------------
 
     def on_round(self, round_no: int, messages: int, words: int, max_edge_words: int) -> None:
         """One real CONGEST round was consumed by the current span."""
@@ -319,28 +361,25 @@ class Tracer:
             )
         )
 
-    def on_fault(self, kind: str, round_no: int, *detail: Any) -> None:
+    def on_event(self, node: Any, kind: str, round_no: int | None = None, **detail: Any) -> None:
         """The fault layer injected (or detected) a fault under the
-        current span — see :mod:`repro.congest.faults`.
+        current span — see :mod:`repro.congest.faults`; other event
+        kinds are not the tracer's.
 
         Each fault becomes a structured ``fault`` event and bumps the
         span's ``faults`` counter, so chaos runs show *where* in the
         pipeline the schedule actually hit.
         """
-        if not self._stack:
+        if kind not in _FAULT_KINDS or not self._stack:
             return
         sp = self._stack[-1]
         sp.attrs["faults"] = sp.attrs.get("faults", 0) + 1
+        if kind == "crash-inbox-drop":
+            text = f"{node!r}, {detail['frames']}"
+        else:
+            text = f"{detail['frm']}, {node!r}"
         sp.events.append(
-            TraceEvent(
-                "fault",
-                self._now(),
-                {
-                    "fault": kind,
-                    "round": round_no,
-                    "detail": ", ".join(repr(d) for d in detail),
-                },
-            )
+            TraceEvent("fault", self._now(), {"fault": kind, "round": round_no, "detail": text})
         )
 
     # -- export ------------------------------------------------------------

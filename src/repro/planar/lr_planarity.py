@@ -463,9 +463,6 @@ class _LRPlanarity:
                 self._remove_back_edges(e)
         return True
 
-    def _conflicting(self, interval: _Interval, b: int) -> bool:
-        return not interval.empty() and self.lowpt[interval.high] > self.lowpt[b]
-
     def _add_constraints(self, ei: int, e: int) -> bool:
         # Interval emptiness / conflict checks are inlined attribute tests
         # here (this is the innermost loop of the testing pass).

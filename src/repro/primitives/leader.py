@@ -11,19 +11,20 @@ Two executions of the same protocol:
 
 * :class:`MaxIdFloodProgram` under the CONGEST simulator — the
   reference, and the only path under the dense scheduler, fault
-  injection, or causal recording;
+  injection, or a sink that reads messages (one that overrides
+  ``on_post``, such as the causal recorder);
 * :func:`_fast_flood` — a closed-form replay of exactly what the event
   scheduler would do with those programs.  Flooding is the one phase
   whose per-round behavior is a pure function of the frontier (receive
   max, forward on improvement), so the ledger — rounds, messages,
-  words, max edge load, activations, saved activations, phase tags,
-  and observer callbacks — can be emitted without instantiating n
+  words, max edge load, activations, saved activations, phase tags —
+  and the observer callbacks can be emitted without instantiating n
   programs or shuffling per-edge inboxes.  It is a large
   constant-factor win: under the simulator, leader election was ~40%
   of a grid run's wall clock (measured in E20), all of it serial.
 
 ``tests/primitives/test_leader_fast_path.py`` proves both paths emit
-bit-identical ledgers differentially.
+bit-identical ledgers and observer callbacks differentially.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ from ..congest.message import payload_words, word_bits
 from ..congest.metrics import RoundMetrics
 from ..congest.network import default_scheduler, run_program
 from ..congest.node import NodeProgram
-from ..obs.causal import default_causal_recorder
+from ..obs.sinks import observer, reads_messages
 from ..planar.graph import Graph, NodeId
 
 __all__ = ["MaxIdFloodProgram", "elect_leader"]
@@ -83,7 +84,7 @@ def _fast_flood(graph: Graph, metrics: RoundMetrics | None, phase: str | None):
     """Replay the event scheduler's execution of the flood, exactly.
 
     Emits the same ``record_round`` / ``record_activations`` /
-    ``tag_phase`` / ``observer.on_round`` sequence the simulator would:
+    ``tag_phase`` sequence and observer callbacks the simulator would:
     round 1 is every node's ``on_start`` broadcast; each later pass
     wakes exactly the message receivers, and the improved ones
     rebroadcast.  An iteration that sends nothing consumes no round —
@@ -101,7 +102,9 @@ def _fast_flood(graph: Graph, metrics: RoundMetrics | None, phase: str | None):
             return _FALLBACK
     if metrics is None:
         metrics = RoundMetrics()
-    observer = getattr(metrics, "observer", None)
+    obs = observer(metrics.observer)
+    if obs is not None:
+        obs.on_execution(phase)
     messages_before = metrics.messages
     words_before = metrics.total_words
 
@@ -129,8 +132,8 @@ def _fast_flood(graph: Graph, metrics: RoundMetrics | None, phase: str | None):
     if pending:
         rounds_used = 1
         metrics.record_round(pending, words, max_edge)
-        if observer is not None:
-            observer.on_round(1, pending, words, max_edge)
+        if obs is not None:
+            obs.on_round(1, pending, words, max_edge)
 
     round_no = 1
     while pending:
@@ -157,9 +160,11 @@ def _fast_flood(graph: Graph, metrics: RoundMetrics | None, phase: str | None):
         if pending:
             rounds_used += 1
             metrics.record_round(pending, words, max_edge)
-            if observer is not None:
-                observer.on_round(round_no, pending, words, max_edge)
+            if obs is not None:
+                obs.on_round(round_no, pending, words, max_edge)
 
+    if obs is not None:
+        obs.on_execution_end(rounds_used)
     saved = n * iterations - activated
     metrics.record_activations(activated, saved)
     if phase is not None:
@@ -182,12 +187,13 @@ def elect_leader(
 
     Uses the closed-form flood replay whenever the ambient configuration
     matches what it models — the event scheduler with no fault injector
-    and no causal recorder — and the full simulator otherwise.  Both
-    emit bit-identical ledgers.
+    and no sink that reads messages — and the full simulator otherwise.
+    Both emit bit-identical ledgers.
     """
     if graph.num_nodes == 0:
         raise ValueError("cannot elect a leader of an empty graph")
-    if default_scheduler() == "event" and default_causal_recorder() is None:
+    obs = observer(getattr(metrics, "observer", None))
+    if default_scheduler() == "event" and (obs is None or not reads_messages(obs)):
         from ..congest.faults import default_fault_injector
 
         if default_fault_injector() is None:

@@ -24,6 +24,7 @@ table in README.md.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import json
 import sys
@@ -114,26 +115,19 @@ def _build(args: argparse.Namespace, parser: argparse.ArgumentParser) -> Service
     )
 
 
+@contextlib.contextmanager
 def _flight_scope(args: argparse.Namespace):
-    """The flight-recorder override for one CLI run (no-op without
+    """Install a flight recorder for one CLI run (none without
     ``--flight``); the dump is written when the block exits."""
-    import contextlib
+    from ..obs import FlightRecorder, installed, observe
 
-    from ..obs.flightrec import FlightRecorder, flight_override
-
-    if getattr(args, "flight", None) is None:
-        return contextlib.nullcontext(None)
-
-    @contextlib.contextmanager
-    def scope():
-        recorder = FlightRecorder(capacity=256)
-        with flight_override(recorder):
-            try:
-                yield recorder
-            finally:
+    recorder = FlightRecorder(capacity=256) if args.flight is not None else None
+    with observe(*installed(), recorder):
+        try:
+            yield
+        finally:
+            if recorder is not None:
                 recorder.dump(args.flight)
-
-    return scope()
 
 
 def _load(path: str, parser: argparse.ArgumentParser):

@@ -44,7 +44,8 @@ from concurrent.futures import BrokenExecutor
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
-from ..obs.flightrec import SERVICE_LANE, default_flight_recorder
+from ..obs.flightrec import SERVICE_LANE
+from ..obs.sinks import observer
 from ..planar.graph import Graph
 from .cache import ResultCache
 from .canon import CanonicalForm, canonical_form, exact_fingerprint
@@ -344,14 +345,14 @@ class ServiceDriver:
         depth *is* the backlog, since consumers have not run yet).
         """
         limit = self.resilience.queue_limit
-        flight = default_flight_recorder()
+        obs = observer()
         for job, future in zip(jobs, futures):
             try:
                 queue.put_nowait((job, future))
             except asyncio.QueueFull:
                 self.rstats.shed += 1
-                if flight is not None:
-                    flight.record(
+                if obs is not None:
+                    obs.on_event(
                         SERVICE_LANE, "shed", None, job=job.id, queue_limit=limit
                     )
                 record = _normalize({
@@ -452,13 +453,13 @@ class ServiceDriver:
         attempts = 1 + policy.max_retries
         pool_deaths = 0
         last_error: dict | None = None
-        flight = default_flight_recorder()
+        obs = observer()
         for attempt in range(attempts):
             if attempt:
                 self.rstats.retries += 1
                 delay = policy.delay(job.id, attempt)
-                if flight is not None:
-                    flight.record(
+                if obs is not None:
+                    obs.on_event(
                         SERVICE_LANE, "retry", None,
                         job=job.id, attempt=attempt, backoff_s=round(delay, 6),
                     )
@@ -494,8 +495,8 @@ class ServiceDriver:
                     "message": f"attempt {attempt + 1}/{attempts} exceeded"
                                f" the {deadline}s deadline",
                 }
-                if flight is not None:
-                    flight.record(
+                if obs is not None:
+                    obs.on_event(
                         SERVICE_LANE, "job-timeout", None,
                         job=job.id, attempt=attempt, deadline_s=deadline,
                     )
@@ -510,8 +511,8 @@ class ServiceDriver:
                     "type": type(exc).__name__,
                     "message": str(exc) or "worker process died",
                 }
-                if flight is not None:
-                    flight.record(
+                if obs is not None:
+                    obs.on_event(
                         SERVICE_LANE, "pool-death", None, job=job.id, attempt=attempt
                     )
                 if supervisor is not None:
@@ -538,8 +539,8 @@ class ServiceDriver:
         # the rest of the batch keeps its deterministic outcomes.
         if pool_deaths:
             self.rstats.quarantined += 1
-            if flight is not None:
-                flight.record(
+            if obs is not None:
+                obs.on_event(
                     SERVICE_LANE, "quarantine", None,
                     job=job.id, pool_deaths=pool_deaths,
                 )

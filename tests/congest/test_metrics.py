@@ -6,6 +6,7 @@ import pytest
 
 from repro.congest import RoundMetrics
 from repro.congest.metrics import Charge
+from repro.obs import Sink
 
 
 def test_record_round():
@@ -175,7 +176,7 @@ class TestCompositionInvariants:
         would double-count them on an attached tracer's spans."""
         seen = []
 
-        class Spy:
+        class Spy(Sink):
             def on_charge(self, c):
                 seen.append(c)
 

@@ -12,6 +12,7 @@ from repro.congest import (
     RoundMetrics,
     run_program,
 )
+from repro.obs import Sink
 from repro.planar.generators import path_graph
 
 
@@ -180,7 +181,7 @@ class TestObserverHook:
     def test_observer_sees_every_accounted_round(self):
         rounds_seen = []
 
-        class Spy:
+        class Spy(Sink):
             def on_round(self, round_no, messages, words, max_edge_words):
                 rounds_seen.append((round_no, messages, words, max_edge_words))
 

@@ -93,47 +93,6 @@ def test_message_round_trip():
     assert Message.decode(msg.encode()) == msg
 
 
-class TestLamportPiggyback:
-    """The optional causal stamp rides the wire as a 4-tuple body and
-    stays invisible to unstamped frames."""
-
-    def test_stamped_round_trip(self):
-        msg = Message(("v", 0), ("v", 1), ("bfs", 3), lamport=42)
-        decoded = Message.decode(msg.encode())
-        assert decoded == msg
-        assert decoded.lamport == 42
-
-    def test_unstamped_frames_keep_the_legacy_3_tuple(self):
-        """Backward compatibility: no stamp => the pre-causal wire bytes,
-        so old dumps and mixed-version traffic decode unchanged."""
-        stamped = Message(1, 2, "x", lamport=0).encode()
-        legacy = Message(1, 2, "x").encode()
-        assert stamped != legacy
-        assert Message.decode(legacy).lamport is None
-
-    def test_stamp_does_not_change_payload_words(self):
-        from repro.congest import payload_words
-
-        assert payload_words(Message(1, 2, (1, 2, 3)).payload) == payload_words(
-            Message(1, 2, (1, 2, 3), lamport=9).payload
-        )
-
-    def test_non_int_stamp_is_typed_corruption(self):
-        from repro.congest.message import encode_payload as enc
-
-        import zlib
-
-        bad_body = enc((1, 2, "x", "not-a-stamp"))
-        # Re-frame with a valid CRC so only the semantic check can fire.
-        frame = (
-            len(bad_body).to_bytes(4, "big")
-            + bad_body
-            + zlib.crc32(bad_body).to_bytes(4, "big")
-        )
-        with pytest.raises(MessageCorruptionError, match="lamport"):
-            Message.decode(frame)
-
-
 class TestCorruptionIsTyped:
     """Every malformation → MessageCorruptionError, nothing else."""
 
@@ -159,6 +118,13 @@ class TestCorruptionIsTyped:
         for blob in (b"", b"\xff" * 16, b"not a frame at all"):
             with pytest.raises(MessageCorruptionError):
                 Message.decode(blob)
+        # A well-framed body (CRC intact) that is not a 3-tuple.
+        import zlib
+
+        body = encode_payload((1, 2, "x", 7))
+        framed = len(body).to_bytes(4, "big") + body + zlib.crc32(body).to_bytes(4, "big")
+        with pytest.raises(MessageCorruptionError, match="not a .sender, receiver, payload. tuple"):
+            Message.decode(framed)
 
     def test_payload_body_malformations_wrapped(self):
         """Direct body decoding wraps struct/unicode errors too."""

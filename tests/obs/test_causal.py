@@ -6,7 +6,7 @@ import pytest
 from repro import distributed_planar_embedding
 from repro.congest import CongestNetwork, FaultPlan, RoundMetrics
 from repro.core import self_healing_embedding
-from repro.obs import CausalRecorder, causal_override, default_causal_recorder
+from repro.obs import CausalRecorder, installed, observe
 from repro.planar.generators import (
     cycle_graph,
     grid_graph,
@@ -34,7 +34,8 @@ class TestCriticalPath:
         fault-free run the longest happens-before chain accounts for every
         message round — equality, not just the structural <=."""
         recorder = CausalRecorder()
-        result = distributed_planar_embedding(make(), causal=recorder)
+        with observe(recorder):
+            result = distributed_planar_embedding(make())
         report = recorder.report()
         assert report["critical_path"] == report["real_rounds"]
         assert report["real_rounds"] <= result.metrics.rounds
@@ -44,7 +45,7 @@ class TestCriticalPath:
         the equality degrades to critical_path <= real rounds — never >."""
         plan = FaultPlan.parse("drop=0.05,corrupt=0.02,crash=2:4", seed=17)
         recorder = CausalRecorder()
-        with causal_override(recorder):
+        with observe(recorder):
             result = self_healing_embedding(grid_graph(5, 5), faults=plan)
         report = recorder.report()
         assert not getattr(result, "degraded", False)
@@ -52,7 +53,8 @@ class TestCriticalPath:
 
     def test_report_lands_on_result_and_run_attrs(self):
         recorder = CausalRecorder()
-        result = distributed_planar_embedding(grid_graph(4, 4), causal=recorder)
+        with observe(recorder):
+            result = distributed_planar_embedding(grid_graph(4, 4))
         assert result.causal is not None
         assert result.causal["type"] == "causal-report"
         assert result.causal["critical_path"] == recorder.total_critical_path()
@@ -60,7 +62,8 @@ class TestCriticalPath:
 
     def test_phase_summary_partitions_totals(self):
         recorder = CausalRecorder()
-        distributed_planar_embedding(grid_graph(4, 4), causal=recorder)
+        with observe(recorder):
+            distributed_planar_embedding(grid_graph(4, 4))
         phases = recorder.phase_summary()
         assert phases  # bfs / partition / verify phases all recorded
         assert sum(p["critical_path"] for p in phases.values()) == (
@@ -74,7 +77,8 @@ class TestWitnessChain:
         """The witness walks predecessor pointers: stamps strictly increase
         along the chain and the last link carries the critical path."""
         recorder = CausalRecorder()
-        distributed_planar_embedding(grid_graph(5, 7), causal=recorder)
+        with observe(recorder):
+            distributed_planar_embedding(grid_graph(5, 7))
         longest = recorder.longest
         assert longest is not None
         chain = longest["chain"]
@@ -86,14 +90,16 @@ class TestWitnessChain:
 
     def test_chain_length_is_bounded(self):
         recorder = CausalRecorder(max_chain=3)
-        distributed_planar_embedding(grid_graph(5, 7), causal=recorder)
+        with observe(recorder):
+            distributed_planar_embedding(grid_graph(5, 7))
         assert len(recorder.longest["chain"]) <= 3
 
 
 class TestEdgeSample:
     def test_sample_is_bounded_but_counting_is_not(self):
         recorder = CausalRecorder(max_edges=10)
-        distributed_planar_embedding(grid_graph(5, 5), causal=recorder)
+        with observe(recorder):
+            distributed_planar_embedding(grid_graph(5, 5))
         assert len(recorder.edges) == 10
         assert recorder.edges_total > 10
         report = recorder.report()
@@ -104,7 +110,8 @@ class TestEdgeSample:
 
     def test_edges_carry_round_and_stamp(self):
         recorder = CausalRecorder()
-        distributed_planar_embedding(grid_graph(3, 3), causal=recorder)
+        with observe(recorder):
+            distributed_planar_embedding(grid_graph(3, 3))
         for edge in recorder.edges:
             assert edge["stamp"] >= 1
             assert edge["round"] >= 1
@@ -114,30 +121,28 @@ class TestEdgeSample:
 class TestOverrideIdiom:
     def test_override_reaches_internal_networks(self):
         recorder = CausalRecorder()
-        with causal_override(recorder):
-            assert default_causal_recorder() is recorder
+        with observe(recorder):
+            assert installed() == (recorder,)
             distributed_planar_embedding(grid_graph(3, 3))
-        assert default_causal_recorder() is None
+        assert installed() == ()
         assert recorder.executions
 
     def test_untraced_network_keeps_raw_delivery_hook(self):
-        """Invariant: with no recorder installed the delivery hook is the
-        unwrapped method — zero causal code on the untraced hot path."""
+        """Invariant: with no sink installed and no ledger observer the
+        network has no observer — zero event code on the untraced hot path."""
         net = CongestNetwork(grid_graph(2, 2), metrics=RoundMetrics())
-        assert net._causal is None
-        assert net._deliver.__func__ is CongestNetwork._post_outbox
+        assert net.observer is None
 
     def test_recorder_wraps_delivery_hook(self):
         recorder = CausalRecorder()
-        with causal_override(recorder):
+        with observe(recorder):
             net = CongestNetwork(grid_graph(2, 2), metrics=RoundMetrics())
-        assert net._causal is recorder
-        assert net._deliver.__name__ == "observing_post"
+        assert net.observer is recorder
 
     def test_nested_override_restores_outer(self):
         outer, inner = CausalRecorder(), CausalRecorder()
-        with causal_override(outer):
-            with causal_override(inner):
-                assert default_causal_recorder() is inner
-            assert default_causal_recorder() is outer
-        assert default_causal_recorder() is None
+        with observe(outer):
+            with observe(inner):
+                assert installed() == (inner,)
+            assert installed() == (outer,)
+        assert installed() == ()

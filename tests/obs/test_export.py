@@ -10,6 +10,7 @@ from repro.obs import (
     Tracer,
     chrome_trace,
     export_chrome_trace,
+    observe,
 )
 from repro.planar.generators import grid_graph
 
@@ -17,7 +18,8 @@ from repro.planar.generators import grid_graph
 def traced_run():
     tracer = Tracer()
     recorder = CausalRecorder()
-    distributed_planar_embedding(grid_graph(3, 3), tracer=tracer, causal=recorder)
+    with observe(recorder):
+        distributed_planar_embedding(grid_graph(3, 3), tracer=tracer)
     return tracer, recorder
 
 

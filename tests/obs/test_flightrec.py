@@ -15,9 +15,10 @@ from repro.core import self_healing_embedding
 from repro.obs import (
     FlightRecorder,
     TraceFormatError,
-    default_flight_recorder,
-    flight_override,
+    Tracer,
+    installed,
     load_flight,
+    observe,
 )
 from repro.obs.flightrec import DRIVER_LANE, FLIGHT_FORMAT_VERSION
 from repro.planar.generators import grid_graph, path_graph
@@ -97,7 +98,7 @@ class TestBudgetExhaustion:
         the exact error the caller sees."""
         rec = FlightRecorder()
         plan = FaultPlan(seed=1, drop_rate=1.0)
-        with flight_override(rec):
+        with observe(rec):
             with pytest.raises(RetransmitBudgetExceededError) as info:
                 run_reliable(
                     path_graph(2), Streamer, metrics=RoundMetrics(),
@@ -113,15 +114,11 @@ class TestBudgetExhaustion:
         """Acceptance: a chaos run that exhausts the healing budget leaves
         a loadable JSONL dump whose last event is the error that killed
         the final attempt."""
-        flight_path = tmp_path / "flight.jsonl"
         plan = FaultPlan(seed=9, drop_rate=0.9)
-        result = self_healing_embedding(
-            grid_graph(3, 3), faults=plan, max_retries=1,
-            flight_path=flight_path,
-        )
+        result = self_healing_embedding(grid_graph(3, 3), faults=plan, max_retries=1)
         assert getattr(result, "degraded", False)
         assert result.flight is not None
-        events = load_flight(flight_path)
+        events = load_flight(result.flight.dump(tmp_path / "flight.jsonl"))
         assert events
         last = events[-1]
         assert last["kind"] == "error"
@@ -136,7 +133,7 @@ class TestBudgetExhaustion:
 class TestAttachment:
     def test_clean_run_records_nothing(self):
         rec = FlightRecorder()
-        with flight_override(rec):
+        with observe(rec):
             self_healing_embedding(grid_graph(3, 3))
         # No fault plan => no fault state => no per-frame flight code.
         assert not any(ev["kind"] == "send" for ev in rec.events())
@@ -144,7 +141,7 @@ class TestAttachment:
     def test_chaos_run_records_faults(self):
         rec = FlightRecorder(capacity=16)
         plan = FaultPlan.parse("drop=0.05,corrupt=0.02,crash=2:4", seed=17)
-        with flight_override(rec):
+        with observe(rec):
             result = self_healing_embedding(grid_graph(4, 4), faults=plan)
         assert not getattr(result, "degraded", False)
         kinds = {ev["kind"] for ev in rec.events()}
@@ -153,6 +150,35 @@ class TestAttachment:
 
     def test_override_restores_previous(self):
         rec = FlightRecorder()
-        with flight_override(rec):
-            assert default_flight_recorder() is rec
-        assert default_flight_recorder() is None
+        with observe(rec):
+            assert installed() == (rec,)
+        assert installed() == ()
+
+    def test_one_event_path_feeds_tracer_and_recorder(self):
+        """Each fault site makes one observer call that both the tracer
+        and the flight recorder hear: the trace's ``fault`` events match
+        the recorder's fault-kind events one for one, and its ``send``
+        events match the fault layer's own count."""
+        plan = FaultPlan.parse(
+            "drop=0.05,corrupt=0.02,crash=2:4,dup=0.02,delay=0.05:2,link=1:4", seed=17
+        )
+        tracer, rec = Tracer(), FlightRecorder(capacity=10**6)
+        with observe(rec):
+            result = self_healing_embedding(grid_graph(5, 5), tracer=tracer, faults=plan)
+        assert not getattr(result, "degraded", False)
+        assert rec.events_recorded == len(rec)  # nothing evicted
+        fault_kinds = {"link-drop", "drop", "corruption-detected", "delay",
+                       "duplicate", "crash-inbox-drop"}
+        # The span event's detail is "<sender>, <receiver>" (or
+        # "<node>, <frames>" for a crashed inbox), all reprs.
+        recorded = [
+            (ev["kind"], ev["round"], f"{ev['node']}, {ev['detail']['frames']}"
+             if ev["kind"] == "crash-inbox-drop" else f"{ev['detail']['frm']}, {ev['node']}")
+            for ev in rec.events() if ev["kind"] in fault_kinds
+        ]
+        traced = [(ev.attrs["fault"], ev.attrs["round"], ev.attrs["detail"])
+                  for sp in tracer.spans() for ev in sp.events if ev.name == "fault"]
+        assert sorted(traced) == sorted(recorded)
+        assert {kind for kind, _, _ in recorded} == fault_kinds  # every site fired
+        sends = sum(ev["kind"] == "send" for ev in rec.events())
+        assert sends == result.fault_stats["sent"] > 0

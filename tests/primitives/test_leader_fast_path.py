@@ -13,6 +13,7 @@ import pytest
 
 from repro.congest import BandwidthExceededError, RoundMetrics
 from repro.congest.network import run_program, scheduler_override
+from repro.obs import CausalRecorder, FlightRecorder, Sink, observe
 from repro.planar import Graph
 from repro.planar.generators import (
     cycle_graph,
@@ -40,20 +41,48 @@ FAMILIES = [
 ]
 
 
+class CallLog(Sink):
+    """Records every callback a sink that reads no messages hears."""
+
+    def __init__(self):
+        self.calls = []
+
+    def on_execution(self, phase):
+        self.calls.append(("execution", phase))
+
+    def on_execution_end(self, rounds):
+        self.calls.append(("end", rounds))
+
+    def on_round(self, *args):
+        self.calls.append(("round", *args))
+
+    def on_charge(self, charge):
+        self.calls.append(("charge", charge))
+
+
 @pytest.mark.parametrize("make", FAMILIES)
 def test_ledger_bit_identical_to_simulator(make):
-    fast_m = RoundMetrics()
-    fast_leader = leader_mod._fast_flood(make(), fast_m, "leader-election")
+    fast_log, fast_ledger_log = CallLog(), CallLog()
+    fast_m = RoundMetrics(observer=fast_ledger_log)
+    with observe(fast_log):
+        fast_leader = leader_mod._fast_flood(make(), fast_m, "leader-election")
     assert fast_leader is not leader_mod._FALLBACK
 
-    sim_m = RoundMetrics()
-    results = run_program(
-        make(), leader_mod.MaxIdFloodProgram, metrics=sim_m, phase="leader-election"
-    )
+    sim_log, sim_ledger_log = CallLog(), CallLog()
+    sim_m = RoundMetrics(observer=sim_ledger_log)
+    with observe(sim_log):
+        results = run_program(
+            make(), leader_mod.MaxIdFloodProgram, metrics=sim_m, phase="leader-election"
+        )
     (sim_leader,) = set(results.values())
 
     assert fast_leader == sim_leader
     assert fast_m.to_dict() == sim_m.to_dict()
+    # Both paths emit the same callbacks to the installed sinks and to
+    # the ledger's observer (which alone hears charges).
+    assert fast_log.calls == sim_log.calls
+    assert fast_ledger_log.calls == sim_ledger_log.calls
+    assert fast_log.calls[0] == ("execution", "leader-election")
 
 
 @pytest.mark.parametrize("make", FAMILIES)
@@ -72,6 +101,26 @@ def test_dense_scheduler_routes_to_simulator(monkeypatch):
 
     monkeypatch.setattr(leader_mod, "_fast_flood", no_fast)
     with scheduler_override("dense"):
+        assert elect_leader(grid_graph(4, 4)) == 15
+
+
+def test_sink_that_reads_messages_routes_to_simulator(monkeypatch):
+    def no_fast(*args, **kwargs):  # pragma: no cover - failure path
+        raise AssertionError("a recorded run must not use the fast path")
+
+    monkeypatch.setattr(leader_mod, "_fast_flood", no_fast)
+    recorder = CausalRecorder()
+    with observe(recorder):
+        assert elect_leader(grid_graph(4, 4)) == 15
+    assert recorder.executions  # the simulator posted every outbox to it
+
+
+def test_flight_only_install_keeps_fast_path(monkeypatch):
+    def no_simulator(*args, **kwargs):  # pragma: no cover - failure path
+        raise AssertionError("a flight-only install must keep the fast path")
+
+    monkeypatch.setattr(leader_mod, "run_program", no_simulator)
+    with observe(FlightRecorder()):
         assert elect_leader(grid_graph(4, 4)) == 15
 
 

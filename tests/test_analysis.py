@@ -14,7 +14,7 @@ from repro.analysis import (
     verdict,
 )
 from repro.congest import RoundMetrics
-from repro.obs import Tracer
+from repro.obs import TraceFormatError, Tracer
 
 
 class TestPowerFit:
@@ -106,10 +106,12 @@ class TestTraceView:
         assert load_trace(str(f)).total_rounds() == root.total_rounds() == 6
 
     def test_load_trace_rejects_garbage(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(TraceFormatError, match="trace line 1 is not JSON"):
             load_trace(["not json"])
         with pytest.raises(ValueError):
             load_trace(['{"type": "trace", "version": 1}'])  # header only
+        with pytest.raises(TraceFormatError, match="unsupported trace format version 2"):
+            load_trace(['{"type": "trace", "version": 2}'])
 
     def test_load_trace_stitches_multiple_roots(self):
         tr = small_trace()

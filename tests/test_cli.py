@@ -7,6 +7,8 @@ import pytest
 from repro import distributed_planar_embedding
 from repro.__main__ import load_edgelist, main
 from repro.analysis import load_trace
+from repro.obs import load_flight
+from repro.obs.flightrec import DRIVER_LANE
 from repro.planar.generators import grid_graph
 
 
@@ -148,10 +150,15 @@ class TestCertification:
 
 
 class TestFaults:
-    def test_chaos_run_heals_and_exits_zero(self, capsys):
+    def test_chaos_run_heals_and_exits_zero(self, tmp_path, capsys):
+        flight, trace, perfetto = (
+            tmp_path / "flight.jsonl", tmp_path / "trace.jsonl", tmp_path / "perfetto.json"
+        )
         code = main([
             "--demo", "grid", "4", "4",
             "--faults", "drop=0.05,corrupt=0.02", "--fault-seed", "7", "--quiet",
+            "--causal", "--flight", str(flight), "--trace", str(trace),
+            "--perfetto", str(perfetto),
         ])
         out = capsys.readouterr().out
         assert code == 0
@@ -159,16 +166,37 @@ class TestFaults:
         assert "chaos schedule: seed=7" in out
         assert "recovery" in out  # the ledger shows the overhead phase
         assert "certification ACCEPTED" in out
+        # Every recorder rode the one event path of the same chaos run.
+        (causal,) = [line for line in out.splitlines() if line.startswith("causal:")]
+        critical = int(causal.split("critical path ")[1].split()[0])
+        real = int(causal.split("; ")[1].split()[0])
+        assert 0 < critical <= real
+        kinds = {ev["kind"] for ev in load_flight(flight)}
+        assert {"send", "deliver"} <= kinds
+        assert kinds & {"drop", "corruption-detected"}
+        faults = [ev for sp in load_trace(trace).walk() for ev in sp.events
+                  if ev.name == "fault"]
+        assert faults
+        events = json.loads(perfetto.read_text())["traceEvents"]
+        assert any(e.get("pid") == 2 and e.get("ph") == "X" for e in events)
 
-    def test_degraded_exits_four(self, capsys):
+    def test_degraded_exits_four(self, tmp_path, capsys):
+        flight = tmp_path / "flight.jsonl"
         code = main([
             "--demo", "path", "4",
             "--faults", "drop=0.9", "--max-retries", "0", "--quiet",
+            "--flight", str(flight),
         ])
         out = capsys.readouterr().out
         assert code == 4
         assert "DEGRADED" in out
         assert "healing attempts: 1" in out
+        # finish() is the one place the dump is written and announced.
+        assert out.count("flight recorder dumped") == 1
+        assert f"flight recorder dumped to {flight}" in out.splitlines()
+        last = load_flight(flight)[-1]
+        assert last["kind"] == "error"
+        assert last["node"] == repr(DRIVER_LANE)
 
     def test_degraded_json_report(self, capsys):
         code = main([

@@ -23,8 +23,9 @@ election); this bench pins the payoff:
 * per-run oracle counters (witness answers vs whole-graph LR tests)
   recorded alongside the timings, showing *why* the splits got cheap.
 
-``REPRO_BENCH_SMOKE=1`` keeps only the n<=256 budget-gate workloads and
-a small profiled run.
+``REPRO_BENCH_SMOKE=1`` keeps only the budget-gate workloads (n<=256,
+plus ``star:1024``, whose leaves all re-attach at assembly) and a small
+profiled run.
 """
 
 import cProfile
@@ -41,6 +42,7 @@ from repro.planar.generators import (
     grid_graph,
     random_maximal_planar,
     random_outerplanar,
+    star_graph,
     triangulated_grid,
 )
 
@@ -53,6 +55,7 @@ FAMILIES = {
     "trigrid": lambda n: triangulated_grid(math.isqrt(n), math.isqrt(n)),
     "maximal": lambda n: random_maximal_planar(n, seed=n),
     "outerplanar": lambda n: random_outerplanar(n, seed=n),
+    "star": lambda n: star_graph(n - 1),
 }
 
 # Pre-overhaul pipeline medians (median-of-3 after one warm-up, same

@@ -87,7 +87,8 @@ code  meaning
 0     success — embedding computed (and certified, if asked)
 1     input not planar (a Kuratowski witness is printed);
       ``trace-diff``: traces diverge
-2     usage error (bad flags, malformed job file or edge list);
+2     usage error (bad flags; a missing or malformed edge list,
+      ``--demo`` spec, ``--view-trace`` file or job file);
       ``trace-diff``: unreadable trace
 3     the computed output was rejected — verification or
       certification failed, or a tamper went undetected: an
@@ -119,12 +120,18 @@ import time
 from .core import NonPlanarNetworkError, DistributedPlanarEmbedding, trivial_baseline_embedding
 from .obs import CausalRecorder, FlightRecorder, Tracer, observe
 from .planar import Graph
+from .planar.generators import demo_graph
 from .planar.kuratowski import classify_kuratowski, kuratowski_subgraph
 from .planar.verify import EmbeddingViolation
 
 
 def load_edgelist(path: str) -> Graph:
+    """Read one ``u v`` edge a line (``#`` starts a comment).  IDs that
+    parse as integers are ints, the rest strings; a file may not mix the
+    two, because the pipeline orders node IDs.  Raises ``ValueError`` on a
+    malformed file."""
     graph = Graph()
+    kind = None
     with open(path) as f:
         for lineno, line in enumerate(f, 1):
             body = line.split("#", 1)[0].strip()
@@ -132,31 +139,18 @@ def load_edgelist(path: str) -> Graph:
                 continue
             parts = body.split()
             if len(parts) != 2:
-                raise SystemExit(f"{path}:{lineno}: expected two node IDs, got {body!r}")
+                raise ValueError(f"{path}:{lineno}: expected two node IDs, got {body!r}")
             u, v = (int(p) if p.lstrip('-').isdigit() else p for p in parts)
+            kind = kind or type(u)
+            if type(u) is not kind or type(v) is not kind:
+                raise ValueError(f"{path}:{lineno}: node IDs mix integers and strings")
             graph.add_edge(u, v)
     return graph
 
 
-def demo_graph(args: list[str], seed: int = 0) -> Graph:
-    """CLI wrapper over the shared demo-family factory (also used by
-    service job files, so ``--demo`` and ``{"demo": [...]}`` accept
-    exactly the same specs)."""
-    from .planar.generators import demo_graph as build
+def view_trace(root) -> int:
+    from .analysis import render_phase_timeline, render_trace_tree
 
-    try:
-        return build(args, seed=seed)
-    except ValueError as exc:
-        raise SystemExit(str(exc)) from exc
-
-
-def view_trace(path: str) -> int:
-    from .analysis import load_trace, render_phase_timeline, render_trace_tree
-
-    try:
-        root = load_trace(sys.stdin if path == "-" else path)
-    except (OSError, ValueError) as exc:
-        raise SystemExit(f"cannot read trace {path!r}: {exc}") from exc
     print(render_trace_tree(root))
     print()
     print("rounds by phase (parallel branches sum — a work view, not a clock):")
@@ -289,7 +283,13 @@ def main(argv: list[str] | None = None) -> int:
             parser.error("--view-trace takes no network input")
         if args.profile:
             parser.error("--profile instruments a run; --view-trace does not run")
-        return view_trace(args.view_trace)
+        from .analysis import load_trace
+
+        try:
+            root = load_trace(sys.stdin if args.view_trace == "-" else args.view_trace)
+        except (OSError, ValueError) as exc:
+            parser.error(f"cannot read trace {args.view_trace!r}: {exc}")
+        return view_trace(root)
     if (args.edgelist is None) == (args.demo is None):
         parser.error("provide exactly one of an edge-list file or --demo")
     if args.json and args.trace == "-":
@@ -302,9 +302,14 @@ def main(argv: list[str] | None = None) -> int:
     machine_stdout = args.json or args.trace == "-"
     say = functools.partial(print, file=sys.stderr) if machine_stdout else print
 
-    graph = (
-        demo_graph(args.demo, seed=args.seed) if args.demo else load_edgelist(args.edgelist)
-    )
+    try:
+        graph = (
+            demo_graph(args.demo, seed=args.seed) if args.demo else load_edgelist(args.edgelist)
+        )
+    except OSError as exc:
+        parser.error(f"cannot read edge list {args.edgelist!r}: {exc.strerror}")
+    except ValueError as exc:
+        parser.error(str(exc))
     say(f"network: n={graph.num_nodes}, m={graph.num_edges}")
     certify = args.certify or args.certify_adversary
 

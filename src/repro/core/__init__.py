@@ -18,7 +18,7 @@ from .algorithm import (
     distributed_planarity_test,
     self_healing_embedding,
 )
-from .assembly import AssemblyError, expand_copies, insert_pendant, insert_two_terminal
+from .assembly import AssemblyError, assemble, expand_copies
 from .baseline import trivial_baseline_embedding
 from .interface import InterfaceSkeleton, SkeletonError, interface_skeleton
 from .merges import (
@@ -73,8 +73,7 @@ __all__ = [
     "embed_subtree",
     "RecursionContext",
     "CallRecord",
-    "insert_pendant",
-    "insert_two_terminal",
+    "assemble",
     "expand_copies",
     "AssemblyError",
 ]

@@ -17,21 +17,36 @@ three kinds of parts early so they stop consuming bandwidth:
   copy is contracted back into its primary vertex (an embedded-edge
   contraction, which preserves planarity).
 
-Every splice is genus-verified; orientation choices that the paper fixes
-by convention are resolved here by trying the (at most four) candidate
-chiralities and keeping the planar one.
+:func:`assemble` puts every discharged part back with one rotation
+build: it copies the merged graph once, splices every part's edge
+bundles into one ring map and genus-checks the result once.  Each
+splice has a single candidate, and it is planar by construction:
+
+* a part's boundary walk (:meth:`PartEmbedding.boundary_order`) is the
+  clockwise ring of the part contracted to one vertex
+  (:func:`~repro.planar.rotation.contracted_rotation`), and the two ends
+  of a bundle of parallel edges rotate in opposite senses — so a bundle
+  enters its terminal's ring reversed, as one consecutive block;
+* an island fits any corner at its anchor, so every pendant goes into
+  the corner after the anchor's first neighbor;
+* a two-terminal piece fits any pair of corners of one face, so it goes
+  into the corners at ``i`` and ``j`` of the first face holding both.
+
+A splice that is not planar — possible only for parts that break those
+invariants — fails the final check with :class:`AssemblyError`.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterable
+
 from ..planar.graph import Graph, NodeId
 from ..planar.rotation import RotationSystem, trace_faces
-from .parts import PartEmbedding, is_stub, stub_node
+from .parts import PartEmbedding, augment_with_stubs
 
 __all__ = [
     "AssemblyError",
-    "insert_pendant",
-    "insert_two_terminal",
+    "assemble",
     "expand_copies",
     "is_copy",
 ]
@@ -45,89 +60,13 @@ def is_copy(node: NodeId) -> bool:
     return isinstance(node, tuple) and len(node) == 4 and node[0] == "copy"
 
 
-def _rebuild(
-    merged: PartEmbedding, graph: Graph, order: dict[NodeId, tuple]
-) -> PartEmbedding:
-    augmented = graph.copy()
-    for h in merged.boundary:
-        augmented.add_edge(h[0], stub_node(h))
-        order[stub_node(h)] = (h[0],)
-    rotation = RotationSystem(augmented, order)
-    if not rotation.is_planar_embedding():
-        raise AssemblyError("splice produced a non-planar rotation system")
-    return PartEmbedding(
-        part_id=merged.part_id,
-        graph=graph,
-        boundary=merged.boundary,
-        rotation=rotation,
-        depth=merged.depth,
-    )
-
-
-def _merged_orders(merged: PartEmbedding) -> dict[NodeId, tuple]:
-    return {
-        v: merged.rotation.order(v)
-        for v in merged.rotation.graph.nodes()
-        if not is_stub(v)
-    }
-
-
-def _part_orders(part: PartEmbedding, resolve: dict[NodeId, NodeId]) -> dict[NodeId, tuple]:
-    """The part's rotations with its stubs resolved to real anchors."""
-    orders = {}
+def _add_part(graph: Graph, part: PartEmbedding, bundle_edges: list[tuple]) -> None:
     for v in part.graph.nodes():
-        ring = []
-        for u in part.rotation.order(v):
-            if is_stub(u):
-                ring.append(resolve[(u[1], u[2])])
-            else:
-                ring.append(u)
-        orders[v] = tuple(ring)
-    return orders
-
-
-def insert_pendant(
-    merged: PartEmbedding, anchor: NodeId, pendant: PartEmbedding
-) -> PartEmbedding:
-    """Splice a pendant part (all half-edges to ``anchor``) into ``merged``."""
-    if anchor not in merged.graph:
-        raise ValueError(f"anchor {anchor!r} not in merged part")
-    bundle = [u for u, x in pendant.boundary_order()]
-    if any(x != anchor for _, x in pendant.boundary):
-        raise ValueError("pendant part has non-anchor half-edges")
-
-    graph = merged.graph.copy()
-    for v in pendant.graph.nodes():
         graph.add_node(v)
-    for u, v in pendant.graph.edges():
+    for u, v in part.graph.edges():
         graph.add_edge(u, v)
-    for u in bundle:
-        graph.add_edge(u, anchor)
-
-    base = _merged_orders(merged)
-    resolve = {(u, anchor): anchor for u in bundle}
-    pend = _part_orders(pendant, resolve)
-
-    anchor_ring = list(merged.rotation.order(anchor))
-    for candidate in (list(reversed(bundle)), list(bundle)):
-        order = dict(base)
-        order.update(pend)
-        order[anchor] = tuple(anchor_ring[:1] + candidate + anchor_ring[1:]) if anchor_ring else tuple(candidate)
-        try:
-            return _rebuild(merged, graph, order)
-        except AssemblyError:
-            continue
-    raise AssemblyError("pendant insertion failed in both orientations")
-
-
-def _face_corner(
-    rotation: RotationSystem, face: list[tuple[NodeId, NodeId]], v: NodeId
-) -> tuple[NodeId, NodeId]:
-    """A corner of ``face`` at ``v``: (a, b) with b clockwise-after a at v."""
-    for x, y in face:
-        if y == v:
-            return (x, rotation.next_after(v, x))
-    raise ValueError(f"{v!r} not on face")
+    for u, x in bundle_edges:
+        graph.add_edge(u, x)
 
 
 def _split_two_terminal(
@@ -135,25 +74,20 @@ def _split_two_terminal(
 ) -> tuple[list[NodeId], list[NodeId]]:
     """Split the part's boundary walk into its i-bundle and j-bundle.
 
-    The walk must be non-interleaved (i-edges consecutive) — guaranteed
-    when the part was realized against a coordinator instance containing
-    both terminals.
+    The walk must reach both terminals and be non-interleaved (i-edges
+    consecutive) — guaranteed when the part was realized against a
+    coordinator instance containing both terminals.
     """
     walk = part.boundary_order()
     targets = [x for _, x in walk]
     k = len(walk)
-    start = None
-    for idx in range(k):
-        if targets[idx] == i and targets[(idx - 1) % k] == j:
-            start = idx
-            break
+    start = next(
+        (idx for idx in range(k) if targets[idx] == i and targets[idx - 1] == j),
+        None,
+    )
     if start is None:
-        if all(t == i for t in targets):
-            return [u for u, _ in walk], []
-        if all(t == j for t in targets):
-            return [], [u for u, _ in walk]
-        raise AssemblyError("two-terminal boundary walk is interleaved")
-    rotated = [walk[(start + t) % k] for t in range(k)]
+        raise AssemblyError(f"two-terminal boundary walk does not reach both {i!r} and {j!r}")
+    rotated = walk[start:] + walk[:start]
     i_bundle = [u for u, x in rotated if x == i]
     j_bundle = [u for u, x in rotated if x == j]
     if [x for _, x in rotated] != [i] * len(i_bundle) + [j] * len(j_bundle):
@@ -161,70 +95,69 @@ def _split_two_terminal(
     return i_bundle, j_bundle
 
 
-def insert_two_terminal(
-    merged: PartEmbedding, i: NodeId, j: NodeId, part: PartEmbedding
+def _spliced(ring: tuple, after: NodeId, bundle: list[NodeId]) -> tuple:
+    """``ring`` with ``bundle`` reversed in right after ``after``."""
+    pos = ring.index(after) + 1
+    return ring[:pos] + tuple(reversed(bundle)) + ring[pos:]
+
+
+def assemble(
+    merged: PartEmbedding,
+    pendants: Iterable[tuple[NodeId, PartEmbedding]] = (),
+    two_terminal: Iterable[tuple[NodeId, NodeId, PartEmbedding]] = (),
 ) -> PartEmbedding:
-    """Splice an (i, j)-part into a face of ``merged`` containing both."""
-    i_bundle, j_bundle = _split_two_terminal(part, i, j)
-    if not j_bundle:
-        return insert_pendant(merged, i, part)
-    if not i_bundle:
-        return insert_pendant(merged, j, part)
+    """Splice discharged parts into ``merged``: one build, one genus check.
 
-    face = None
-    for f in trace_faces(merged.rotation):
-        on_face = {u for u, _ in f}
-        if i in on_face and j in on_face:
-            face = f
-            break
-    if face is None:
-        raise AssemblyError(f"no face contains both {i!r} and {j!r}")
-    ia, ib = _face_corner(merged.rotation, face, i)
-    ja, jb = _face_corner(merged.rotation, face, j)
-
+    ``pendants`` are ``(anchor, part)`` pairs, every half-edge of ``part``
+    ending at ``anchor``; they enter in the order given, each anchor's
+    bundles side by side in its first corner, the latest first.
+    ``two_terminal`` are ``(i, j, part)`` triples spliced after them in
+    the order given, each into the first face (in ``trace_faces`` order of
+    the rotation as spliced so far) that holds both ``i`` and ``j``.
+    Raises :class:`AssemblyError` when the result is not planar.
+    """
     graph = merged.graph.copy()
-    for v in part.graph.nodes():
-        graph.add_node(v)
-    for u, v in part.graph.edges():
-        graph.add_edge(u, v)
-    for u in i_bundle:
-        graph.add_edge(u, i)
-    for u in j_bundle:
-        graph.add_edge(u, j)
+    order = merged.rotation.as_dict()
+    bundles: dict[NodeId, list[list[NodeId]]] = {}
+    for anchor, part in pendants:
+        if anchor not in graph:
+            raise ValueError(f"anchor {anchor!r} not in merged part")
+        if any(x != anchor for _, x in part.boundary):
+            raise ValueError("pendant part has non-anchor half-edges")
+        bundle = [u for u, _ in part.boundary_order()]
+        _add_part(graph, part, [(u, anchor) for u in bundle])
+        order.update(part.internal_rotations())
+        bundles.setdefault(anchor, []).append(bundle)
+    for anchor, group in bundles.items():
+        ring = order[anchor]
+        if not ring:  # a lone vertex: its first bundle becomes its ring
+            ring, group = tuple(reversed(group[0])), group[1:]
+        inserted = tuple(reversed([u for bundle in group for u in bundle]))
+        order[anchor] = ring[:1] + inserted + ring[1:]
 
-    base = _merged_orders(merged)
-    resolve = {(u, i): i for u in i_bundle}
-    resolve.update({(u, j): j for u in j_bundle})
-    inner = _part_orders(part, resolve)
+    for i, j, part in two_terminal:
+        i_bundle, j_bundle = _split_two_terminal(part, i, j)
+        faces = trace_faces(RotationSystem(augment_with_stubs(graph, merged.boundary), order))
+        face = next((f for f in faces if {i, j} <= {u for u, _ in f}), None)
+        if face is None:
+            raise AssemblyError(f"no face contains both {i!r} and {j!r}")
+        i_after = next(x for x, y in face if y == i)
+        j_after = next(x for x, y in face if y == j)
+        _add_part(graph, part, [(u, i) for u in i_bundle] + [(u, j) for u in j_bundle])
+        order.update(part.internal_rotations())
+        order[i] = _spliced(order[i], i_after, i_bundle)
+        order[j] = _spliced(order[j], j_after, j_bundle)
 
-    def ring_with(ring: tuple, after: NodeId, bundle: list[NodeId]) -> tuple:
-        lst = list(ring)
-        pos = lst.index(after) + 1
-        return tuple(lst[:pos] + bundle + lst[pos:])
-
-    i_ring = merged.rotation.order(i)
-    j_ring = merged.rotation.order(j)
-    mirror_inner = {v: tuple(reversed(r)) for v, r in inner.items()}
-    candidates = (
-        (inner, list(reversed(i_bundle)), list(reversed(j_bundle))),
-        (inner, list(i_bundle), list(j_bundle)),
-        (mirror_inner, list(reversed(i_bundle)), list(reversed(j_bundle))),
-        (mirror_inner, list(i_bundle), list(j_bundle)),
-        (inner, list(reversed(i_bundle)), list(j_bundle)),
-        (inner, list(i_bundle), list(reversed(j_bundle))),
-        (mirror_inner, list(reversed(i_bundle)), list(j_bundle)),
-        (mirror_inner, list(i_bundle), list(reversed(j_bundle))),
+    rotation = RotationSystem(augment_with_stubs(graph, merged.boundary), order)
+    if not rotation.is_planar_embedding():
+        raise AssemblyError("assembly produced a non-planar rotation system")
+    return PartEmbedding(
+        part_id=merged.part_id,
+        graph=graph,
+        boundary=merged.boundary,
+        rotation=rotation,
+        depth=merged.depth,
     )
-    for inner_orders, ib_bundle, jb_bundle in candidates:
-        order = dict(base)
-        order.update(inner_orders)
-        order[i] = ring_with(i_ring, ia, ib_bundle)
-        order[j] = ring_with(j_ring, ja, jb_bundle)
-        try:
-            return _rebuild(merged, graph, order)
-        except AssemblyError:
-            continue
-    raise AssemblyError("two-terminal insertion failed in all orientations")
 
 
 def expand_copies(

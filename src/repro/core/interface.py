@@ -38,14 +38,6 @@ from .parts import PartEmbedding
 
 __all__ = ["InterfaceSkeleton", "SkeletonError", "interface_skeleton", "block_attachment_order"]
 
-# A block's attachment order is a pure function of its (canonically
-# sorted) edge set and the relevant vertices, and the same leaf blocks
-# reappear in every ancestor merge up the recursion — so the apex
-# embeds are memoized globally.  Capped against unbounded growth.
-_BLOCK_ORDER_MEMO: dict[tuple, tuple] = {}
-_BLOCK_ORDER_MAX_ENTRIES = 4096
-
-
 class SkeletonError(RuntimeError):
     """The skeleton construction hit an inconsistent part embedding."""
 
@@ -227,17 +219,10 @@ def interface_skeleton(
                 skeleton.add_node(v)
                 anchors.add(v)
             continue
-        edges_sorted = tuple(sorted(component.edges, key=sort_key))
-        memo_key = (edges_sorted, tuple(relevant))
-        order = _BLOCK_ORDER_MEMO.get(memo_key)
-        if order is None:
-            block_graph = Graph()
-            for u, v in edges_sorted:
-                block_graph.add_edge(u, v)
-            order = tuple(block_attachment_order(block_graph, relevant))
-            if len(_BLOCK_ORDER_MEMO) >= _BLOCK_ORDER_MAX_ENTRIES:
-                _BLOCK_ORDER_MEMO.clear()
-            _BLOCK_ORDER_MEMO[memo_key] = order
+        block_graph = Graph()
+        for u, v in sorted(component.edges, key=sort_key):
+            block_graph.add_edge(u, v)
+        order = block_attachment_order(block_graph, relevant)
         anchors.update(order)
         if len(order) == 2:
             skeleton.add_edge(order[0], order[1])

@@ -134,7 +134,7 @@ def _fallback_merge(
     )
 
 
-def merge_parts(parts: list[PartEmbedding], verify: bool = True) -> MergeResult:
+def merge_parts(parts: list[PartEmbedding]) -> MergeResult:
     """Merge ``parts`` (>= 1, mutually connected or not) into one part.
 
     Raises :class:`NonPlanarNetworkError` when no planar arrangement
@@ -163,7 +163,7 @@ def merge_parts(parts: list[PartEmbedding], verify: bool = True) -> MergeResult:
     result.attachment_edges = connecting_count
 
     try:
-        merged = _skeleton_merge(parts, union, new_boundary, connecting, result, verify)
+        merged = _skeleton_merge(parts, union, new_boundary, connecting, result)
     except (SkeletonError, RealizationError, EmbeddingViolation, RotationError):
         # RotationError: a part's out-darts split across faces of the
         # instance embedding — impossible for partitions satisfying the
@@ -232,7 +232,6 @@ def _skeleton_merge(
     new_boundary: list[HalfEdge],
     connecting: list[tuple[NodeId, NodeId]],
     result: MergeResult,
-    verify: bool,
 ) -> PartEmbedding | None:
     """The faithful skeleton-based merge; ``None`` when verification fails."""
     skeletons = {}
@@ -319,9 +318,7 @@ def _skeleton_merge(
         rotation=merged_rotation,
         depth=graph_depth(merged_graph),
     )
-    if verify:
-        boundary_stubs = [stub_node(h) for h in new_boundary]
-        check_embedding_with_boundary(merged_rotation, boundary_stubs)
+    check_embedding_with_boundary(merged_rotation, [stub_node(h) for h in new_boundary])
     return merged
 
 

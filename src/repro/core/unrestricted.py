@@ -41,7 +41,7 @@ from dataclasses import dataclass, field, replace
 
 from ..congest.metrics import RoundMetrics
 from ..planar.graph import Graph, NodeId
-from .assembly import insert_pendant, insert_two_terminal
+from .assembly import assemble
 from .merges import (
     MergeResult,
     charge_path_coordinated_merge,
@@ -81,8 +81,9 @@ def _cluster(pids: list[int], adjacency: dict[int, set[int]]) -> list[list[int]]
     """Connected components of ``pids`` under ``adjacency``."""
     remaining = set(pids)
     clusters = []
-    while remaining:
-        seed = min(remaining)
+    for seed in sorted(pids):
+        if seed not in remaining:
+            continue
         comp = {seed}
         stack = [seed]
         while stack:
@@ -114,6 +115,7 @@ class _MergeDriver:
         self.index = {v: i for i, v in enumerate(p0_order)}
         self.active: dict[int, PartEmbedding] = {p.part_id: p for p in hanging}
         self.p0_boundary: list[HalfEdge] = list(p0_part.boundary)
+        self.gone: set[NodeId] = set()  # vertices of discharged parts
         self.skip_iteration: set[int] = set()
         self.pendants: list[tuple[NodeId, PartEmbedding]] = []
         self.exited: list[tuple[NodeId, NodeId, PartEmbedding]] = []
@@ -130,15 +132,13 @@ class _MergeDriver:
     def _owner_map(self) -> dict[NodeId, int]:
         return {v: pid for pid, p in self.active.items() for v in p.vertices}
 
-    def _p0_drop_targets(self, gone: set[NodeId]) -> None:
-        self.p0_boundary = [(a, x) for a, x in self.p0_boundary if x not in gone]
-
     def _p0_part(self) -> PartEmbedding:
-        """The P0 part re-embedded against its current (deduped) boundary."""
+        """The P0 part re-embedded against its current boundary: deduped,
+        without the edges to discharged parts."""
         seen = set()
         unique = []
         for h in self.p0_boundary:
-            if h not in seen:
+            if h not in seen and h[1] not in self.gone:
                 seen.add(h)
                 unique.append(h)
         return fresh_part(
@@ -262,7 +262,7 @@ class _MergeDriver:
                 anchor = self.p0_order[p0_indices[0]]
                 self.pendants.append((anchor, part))
                 del self.active[pid]
-                self._p0_drop_targets(part.vertices)
+                self.gone |= part.vertices
                 self.stats.pendants_discharged += 1
                 deliveries.append(part.depth + 2 * len(part.boundary) + 1)
             elif len(p0_indices) == 1 and not to_parts and external:
@@ -403,7 +403,7 @@ class _MergeDriver:
                     continue
                 self.exited.append((i_vertex, j_vertex, part))
                 del self.active[pid]
-                self._p0_drop_targets(part.vertices)
+                self.gone |= part.vertices
                 self.stats.two_terminal_exited += 1
         if deliveries:
             self.metrics.charge(
@@ -431,15 +431,11 @@ class _MergeDriver:
         return result.part
 
     def _assemble(self, merged: PartEmbedding) -> PartEmbedding:
-        for anchor, pendant in self.pendants:
-            merged = insert_pendant(merged, anchor, pendant)
-        for i_vertex, j_vertex, part in sorted(
-            self.exited, key=lambda t: t[2].part_id
-        ):
-            merged = insert_two_terminal(merged, i_vertex, j_vertex, part)
-        if self.pendants or self.exited:
-            merged = replace(merged, depth=graph_depth(merged.graph))
-        return merged
+        if not (self.pendants or self.exited):
+            return merged
+        two_terminal = sorted(self.exited, key=lambda t: t[2].part_id)
+        merged = assemble(merged, self.pendants, two_terminal)
+        return replace(merged, depth=graph_depth(merged.graph))
 
 
 def unrestricted_path_merge(

@@ -67,7 +67,7 @@ class NonPlanarGraphError(ValueError):
 # recursion embeds thousands of small parts (leaf stars, short paths,
 # repeated realization gadgets) that collide on structure constantly, so
 # both the verdict and the embedding are cached per structure.  Caches
-# are cleared wholesale when full, like ``interface._BLOCK_ORDER_MEMO``.
+# are cleared wholesale when full.
 _MEMO_MISS = object()
 _DECIDE_MEMO: dict[tuple, bool] = {}
 _EMBED_MEMO: dict[tuple, tuple[tuple[int, ...], ...] | None] = {}

@@ -122,7 +122,7 @@ def _check_int(index: int, name: str, value, minimum: int | None = None) -> None
 
 
 def _check_node(value) -> NodeId:
-    if not isinstance(value, (int, str)):
+    if isinstance(value, bool) or not isinstance(value, (int, str)):
         raise JobSpecError(
             f"node IDs must be ints or strings, got {type(value).__name__}: {value!r}"
         )
@@ -157,10 +157,15 @@ def parse_job(obj: dict, index: int = 0) -> Job:
         if not isinstance(edges, list):
             raise JobSpecError(f"job {index}: 'edges' must be a list of [u, v] pairs")
         graph = Graph()
+        kinds = set()
         for pos, pair in enumerate(edges):
             if not isinstance(pair, (list, tuple)) or len(pair) != 2:
                 raise JobSpecError(f"job {index}: edge {pos} is not a [u, v] pair: {pair!r}")
             u, v = _check_node(pair[0]), _check_node(pair[1])
+            kinds |= {type(u), type(v)}
+            if len(kinds) > 1:
+                # The pipeline orders node IDs; ints and strings do not compare.
+                raise JobSpecError(f"job {index}: edge {pos} mixes integer and string node IDs")
             if u == v:
                 raise JobSpecError(f"job {index}: edge {pos} is a self-loop at {u!r}")
             graph.add_edge(u, v)

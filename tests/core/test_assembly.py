@@ -1,8 +1,8 @@
-"""Pendant / two-terminal insertion and copy expansion."""
+"""Pendant / two-terminal assembly and copy expansion."""
 
 import pytest
 
-from repro.core import expand_copies, fresh_part, insert_pendant, insert_two_terminal
+from repro.core import AssemblyError, assemble, expand_copies, fresh_part
 from repro.core.assembly import is_copy
 from repro.planar import Graph, RotationSystem
 from repro.planar.generators import cycle_graph, grid_graph, path_graph
@@ -14,7 +14,7 @@ class TestInsertPendant:
         host = fresh_part(grid_graph(3, 3), [])
         pendant_graph = Graph(edges=[(100, 101), (101, 102)])
         pendant = fresh_part(pendant_graph, [(100, 4), (102, 4)])
-        merged = insert_pendant(host, 4, pendant)
+        merged = assemble(host, [(4, pendant)])
         assert merged.graph.has_edge(100, 4)
         assert merged.graph.has_edge(102, 4)
         assert merged.rotation.genus() == 0
@@ -23,7 +23,7 @@ class TestInsertPendant:
     def test_pendant_preserves_host_boundary(self):
         host = fresh_part(path_graph(4), [(0, 900)])
         pendant = fresh_part(Graph(nodes=[50]), [(50, 2)])
-        merged = insert_pendant(host, 2, pendant)
+        merged = assemble(host, [(2, pendant)])
         assert merged.boundary == [(0, 900)]
         assert merged.rotation.genus() == 0
 
@@ -31,13 +31,13 @@ class TestInsertPendant:
         host = fresh_part(path_graph(3), [])
         pendant = fresh_part(Graph(nodes=[50]), [(50, 77)])
         with pytest.raises(ValueError):
-            insert_pendant(host, 77, pendant)
+            assemble(host, [(77, pendant)])
 
     def test_pendant_with_wrong_targets_rejected(self):
         host = fresh_part(path_graph(3), [])
         pendant = fresh_part(Graph(nodes=[50]), [(50, 1), (50, 2)])
         with pytest.raises(ValueError):
-            insert_pendant(host, 1, pendant)
+            assemble(host, [(1, pendant)])
 
 
 class TestInsertTwoTerminal:
@@ -45,27 +45,27 @@ class TestInsertTwoTerminal:
         host = fresh_part(grid_graph(2, 3), [])  # 0..5; 0 and 2 on outer face
         part_graph = Graph(edges=[(100, 101)])
         part = fresh_part(part_graph, [(100, 0), (101, 2)])
-        merged = insert_two_terminal(host, 0, 2, part)
+        merged = assemble(host, two_terminal=[(0, 2, part)])
         assert merged.graph.has_edge(100, 0)
         assert merged.graph.has_edge(101, 2)
         assert merged.rotation.genus() == 0
 
     def test_multiple_parallel_parts(self):
         host = fresh_part(path_graph(4), [])
-        merged = host
+        parts = []
         for k in range(3):
             base = 100 + 10 * k
             pg = Graph(edges=[(base, base + 1), (base + 1, base + 2)])
-            part = fresh_part(pg, [(base, 0), (base + 2, 3)])
-            merged = insert_two_terminal(merged, 0, 3, part)
+            parts.append((0, 3, fresh_part(pg, [(base, 0), (base + 2, 3)])))
+        merged = assemble(host, two_terminal=parts)
         assert merged.rotation.genus() == 0
         assert merged.graph.num_nodes == 4 + 9
 
-    def test_single_sided_part_falls_back_to_pendant(self):
+    def test_single_sided_part_is_rejected(self):
         host = fresh_part(path_graph(3), [])
         part = fresh_part(Graph(nodes=[50]), [(50, 1)])
-        merged = insert_two_terminal(host, 1, 2, part)
-        assert merged.rotation.genus() == 0
+        with pytest.raises(AssemblyError, match="does not reach both"):
+            assemble(host, two_terminal=[(1, 2, part)])
 
 
 class TestExpandCopies:

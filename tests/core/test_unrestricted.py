@@ -1,9 +1,13 @@
 """The unrestricted path-coordinated merge driver (paper Section 5.3)."""
 
+import pytest
+
+from repro import distributed_planar_embedding
 from repro.congest import RoundMetrics
 from repro.core import fresh_part, unrestricted_path_merge
-from repro.planar import Graph
-from repro.planar.generators import grid_graph, path_graph
+from repro.core.unrestricted import _MergeDriver
+from repro.planar import RotationSystem
+from repro.planar.generators import caterpillar, grid_graph, path_graph, star_graph
 
 
 def build_scenario(graph, p0_nodes, hanging_groups):
@@ -115,3 +119,34 @@ class TestStatsAndCharges:
         assert "merge:path" in metrics.phase_rounds
         assert stats.final_instance_parts >= 1
         assert len(stats.parts_after_iteration) == 2
+
+
+class TestAssembly:
+    @pytest.mark.parametrize(
+        "make", [lambda: star_graph(63), lambda: caterpillar(16, 3)], ids=["star", "caterpillar"]
+    )
+    def test_one_genus_check_per_assembly(self, make, monkeypatch):
+        """Assembly splices every discharged part, however many, into one
+        rotation and genus-checks it once."""
+        real_check = RotationSystem.is_planar_embedding
+        real_assemble = _MergeDriver._assemble
+        counts = {"inside": False, "checks": 0}
+        assemblies = []
+
+        def counting_check(self):
+            counts["checks"] += counts["inside"]
+            return real_check(self)
+
+        def spy(self, merged):
+            counts.update(inside=True, checks=0)
+            try:
+                return real_assemble(self, merged)
+            finally:
+                counts["inside"] = False
+                assemblies.append((len(self.pendants) + len(self.exited), counts["checks"]))
+
+        monkeypatch.setattr(RotationSystem, "is_planar_embedding", counting_check)
+        monkeypatch.setattr(_MergeDriver, "_assemble", spy)
+        distributed_planar_embedding(make())
+        assert max(parts for parts, _ in assemblies) >= 15
+        assert all(checks == (1 if parts else 0) for parts, checks in assemblies)

@@ -60,6 +60,10 @@ class TestJobParsing:
         {"demo": ["maximal", 8], "seed": True},
         {"edges": [[0, 1]], "kind": "heal", "config": {"fault_seed": False}},
         {"edges": [[0, 1]], "kind": "heal", "config": {"max_retries": True}},
+        # Node IDs: ints and strings do not mix, and booleans are not IDs
+        # (true and 1 would be one dict key).
+        {"edges": [["a", 1], [1, 2], [2, "a"]]},
+        {"edges": [[True, 2], [1, 3], [2, 3]]},
     ])
     def test_rejects(self, bad):
         with pytest.raises(JobSpecError):

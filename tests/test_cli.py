@@ -59,8 +59,11 @@ def test_edgelist_parsing(tmp_path):
 def test_edgelist_bad_line(tmp_path):
     f = tmp_path / "bad.txt"
     f.write_text("0 1 2\n")
-    with pytest.raises(SystemExit):
+    with pytest.raises(ValueError, match="expected two node IDs"):
         load_edgelist(str(f))
+    with pytest.raises(SystemExit) as exc:
+        main([str(f)])
+    assert exc.value.code == 2
 
 
 def test_requires_exactly_one_input(capsys):
@@ -69,8 +72,29 @@ def test_requires_exactly_one_input(capsys):
 
 
 def test_unknown_demo_family():
-    with pytest.raises(SystemExit):
+    with pytest.raises(SystemExit) as exc:
         main(["--demo", "hypercube", "3"])
+    assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("case", ["missing-file", "mixed-ids", "non-integer-demo", "bad-trace"])
+def test_malformed_input_is_usage_error(case, tmp_path, capsys):
+    """Exit 1 means "not planar"; input the CLI cannot read exits 2."""
+    f = tmp_path / "input.txt"
+    if case == "mixed-ids":
+        f.write_text("a 1\n1 2\n2 a\n")
+    elif case == "bad-trace":
+        f.write_text("this is not a trace\n")
+    argv = {
+        "missing-file": [str(tmp_path / "nosuch.txt")],
+        "mixed-ids": [str(f)],
+        "non-integer-demo": ["--demo", "grid", "x", "3"],
+        "bad-trace": ["--view-trace", str(f)],
+    }[case]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "error:" in capsys.readouterr().err
 
 
 def test_bandwidth_flag(capsys):

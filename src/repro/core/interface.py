@@ -36,7 +36,8 @@ from ..planar.graph import Graph, NodeId, sort_key
 from ..planar.lr_planarity import NonPlanarGraphError, planar_embedding
 from .parts import PartEmbedding
 
-__all__ = ["InterfaceSkeleton", "SkeletonError", "interface_skeleton", "block_attachment_order"]
+__all__ = ["InterfaceSkeleton", "SkeletonError", "interface_skeleton", "block_attachment_order",
+           "skeleton_edge_count"]
 
 class SkeletonError(RuntimeError):
     """The skeleton construction hit an inconsistent part embedding."""
@@ -92,9 +93,7 @@ def _bc_tree_adjacency(
     cut_to_blocks: dict = {c: [] for c in cuts}
     for component in decomposition.components:
         cid = component.component_id
-        block_to_cuts[cid] = sorted(
-            (v for v in component.vertices if v in cuts), key=sort_key
-        )
+        block_to_cuts[cid] = [v for v in component.vertices if v in cuts]
         for v in block_to_cuts[cid]:
             cut_to_blocks[v].append(cid)
     return block_to_cuts, cut_to_blocks
@@ -163,6 +162,45 @@ def _smooth_chains(skeleton: Graph, keep: set) -> None:
             changed = True
 
 
+def _steiner(attachments: set, decomposition: BiconnectedDecomposition) -> tuple[set, dict]:
+    """The block-cut Steiner subtree spanning ``attachments`` (>= 2), and the
+    *relevant* vertices of each of its blocks: attachments and Steiner cuts."""
+    block_to_cuts, cut_to_blocks = _bc_tree_adjacency(decomposition)
+    terminals: set = set()
+    for u in attachments:
+        blocks = decomposition.components_of.get(u, [])
+        if not blocks:  # pragma: no cover - connected multi-vertex part
+            raise SkeletonError(f"attachment {u!r} lies in no block")
+        terminals.add(("cut", u) if u in cut_to_blocks else ("block", blocks[0]))
+    steiner = _steiner_nodes(terminals, block_to_cuts, cut_to_blocks)
+    relevant = {}
+    for kind, key in steiner:
+        if kind == "block":
+            vertices = decomposition.component_by_id[key].vertices
+            relevant[key] = {v for v in vertices if v in attachments or ("cut", v) in steiner}
+    return steiner, relevant
+
+
+def skeleton_edge_count(attachments: set, decomposition: BiconnectedDecomposition | None) -> int:
+    """Edges of the skeleton over ``attachments``, counted without building it.
+
+    A Steiner block with ``r`` relevant vertices gives one edge (``r = 2``)
+    or a wheel of ``2r`` (``r >= 3``); smoothing then removes one edge per
+    non-attachment of skeleton degree 2, a cut vertex between exactly two
+    one-edge blocks.  ``decomposition`` is unread for one attachment.
+    """
+    if len(attachments) <= 1:
+        return 0
+    edges, degree = 0, {}
+    for vertices in _steiner(attachments, decomposition)[1].values():
+        r = len(vertices)
+        if r >= 2:
+            edges += 1 if r == 2 else 2 * r
+            for v in vertices:
+                degree[v] = degree.get(v, 0) + (1 if r == 2 else 3)
+    return edges - sum(d == 2 and v not in attachments for v, d in degree.items())
+
+
 def interface_skeleton(
     part: PartEmbedding,
     decomposition: BiconnectedDecomposition | None = None,
@@ -170,8 +208,8 @@ def interface_skeleton(
     """Compress ``part`` to its interface skeleton (see module docstring).
 
     ``decomposition`` lets a caller share one biconnected decomposition
-    of ``part.graph`` across several skeleton computations (a merge
-    builds both the full and the reduced summary of each part).
+    of ``part.graph`` (a merge shares it with the reduced summary's word
+    count and with the realization).
     """
     attachments = part.attachments()
     skeleton = Graph()
@@ -185,44 +223,26 @@ def interface_skeleton(
 
     if decomposition is None:
         decomposition = biconnected_components(part.graph)
-    block_to_cuts, cut_to_blocks = _bc_tree_adjacency(decomposition)
-    cuts = decomposition.cut_vertices()
-
-    terminals: set = set()
-    for u in attachments:
-        if u in cuts:
-            terminals.add(("cut", u))
-        else:
-            blocks = decomposition.components_of.get(u, [])
-            if not blocks:  # pragma: no cover - connected multi-vertex part
-                raise SkeletonError(f"attachment {u!r} lies in no block")
-            terminals.add(("block", blocks[0]))
-    steiner = _steiner_nodes(terminals, block_to_cuts, cut_to_blocks)
-
     attachment_set = set(attachments)
+    steiner, relevant_in = _steiner(attachment_set, decomposition)
     for node in sorted(steiner, key=sort_key):
         kind, key = node
         if kind != "block":
             continue
-        component = decomposition.component_by_id[key]
-        relevant = sorted(
-            {
-                v
-                for v in component.vertices
-                if v in attachment_set
-                or (v in cuts and ("cut", v) in steiner)
-            },
-            key=sort_key,
-        )
+        relevant = sorted(relevant_in[key], key=sort_key)
         if len(relevant) <= 1:
             for v in relevant:
                 skeleton.add_node(v)
                 anchors.add(v)
             continue
-        block_graph = Graph()
-        for u, v in sorted(component.edges, key=sort_key):
-            block_graph.add_edge(u, v)
-        order = block_attachment_order(block_graph, relevant)
+        if len(relevant) == 2:
+            order = relevant  # block_attachment_order's answer, without the block
+        else:
+            block_graph = Graph()
+            edges = decomposition.component_by_id[key].edges
+            for u, v in sorted(edges, key=sort_key):
+                block_graph.add_edge(u, v)
+            order = block_attachment_order(block_graph, relevant)
         anchors.update(order)
         if len(order) == 2:
             skeleton.add_edge(order[0], order[1])

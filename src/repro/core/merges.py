@@ -32,6 +32,7 @@ are counted and reported by the benchmarks.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 from ..congest.metrics import RoundMetrics
@@ -41,7 +42,7 @@ from ..planar.lr_planarity import NonPlanarGraphError, planar_embedding
 from ..planar.rotation import RotationError, RotationSystem, contracted_rotation
 from ..planar.verify import EmbeddingViolation, check_embedding_with_boundary
 from ..planar.biconnected import biconnected_components
-from .interface import SkeletonError, interface_skeleton
+from .interface import SkeletonError, interface_skeleton, skeleton_edge_count
 from .parts import (
     HalfEdge,
     NonPlanarNetworkError,
@@ -202,6 +203,8 @@ def _reduced_summary_words(
     choice and stay distributed.  This is what actually crosses the
     (capacity-restricted) coordinator edges; the detailed alignment of a
     run's own half-edges is settled by the later merge that consumes it.
+    The block structure is the skeleton over the participating
+    attachments, counted from ``decomposition`` without being built.
     """
     participating = [h for h in p.boundary if frozenset(h) in connecting_set]
     if not participating:
@@ -215,14 +218,7 @@ def _reduced_summary_words(
         if not is_p and prev_participating:
             runs += 1
         prev_participating = is_p
-    reduced = PartEmbedding(
-        part_id=p.part_id,
-        graph=p.graph,
-        boundary=participating,
-        rotation=p.rotation,  # skeleton construction never reads it
-        depth=p.depth,
-    )
-    sk_edges = interface_skeleton(reduced, decomposition=decomposition).graph.num_edges
+    sk_edges = skeleton_edge_count({u for u, _ in participating}, decomposition)
     return 2 * sk_edges + len(participating) + runs + 1
 
 
@@ -235,13 +231,15 @@ def _skeleton_merge(
 ) -> PartEmbedding | None:
     """The faithful skeleton-based merge; ``None`` when verification fails."""
     skeletons = {}
+    decompositions = {}
     connecting_keys = {frozenset(e) for e in connecting}
     for p in parts:
-        # One biconnected decomposition per part serves both its full
-        # skeleton and the reduced merge-relevant summary.
+        # One biconnected decomposition per part serves its skeleton, the
+        # reduced summary and the realization (which builds it if None).
         decomp = (
             biconnected_components(p.graph) if len(p.attachments()) > 1 else None
         )
+        decompositions[p.part_id] = decomp
         skeletons[p.part_id] = interface_skeleton(p, decomposition=decomp)
         result.up_words[p.part_id] = _reduced_summary_words(
             p, connecting_keys, decomposition=decomp
@@ -289,7 +287,7 @@ def _skeleton_merge(
         # rotation locally (the Section 3 distributed representation).
         # That is proportional to the skeleton, not to the boundary.
         result.down_words[p.part_id] = result.up_words[p.part_id]
-        realized = realize_boundary_order(p, prescribed)
+        realized = realize_boundary_order(p, prescribed, decompositions[p.part_id])
         # Fold the realized rotations into the merged part, resolving
         # stubs of connecting edges into real neighbors.
         for v in p.graph.nodes():
@@ -325,16 +323,9 @@ def _skeleton_merge(
 # -- round charging for the four merge patterns (Section 5.2) --------------
 
 
-def vertex_coordinated_rounds(result: MergeResult, bandwidth: int = 1) -> int:
-    """Round cost of one vertex-coordinated merge, without charging it.
-
-    Each part pipelines its summary toward the coordinator through *all*
-    of its merge edges in parallel (the interface is stored distributed
-    across the part — paper Section 3 — so disjoint pieces take disjoint
-    lanes): ``depth + ceil(words / lanes)`` rounds per part, all parts
-    concurrently; the decision scatter mirrors the gather.
-    """
-    import math
+def _gather_scatter_rounds(result: MergeResult, bandwidth: int) -> tuple[int, int]:
+    """Rounds of the slowest part's gather and of its scatter, each costed
+    as :func:`vertex_coordinated_rounds` describes."""
 
     def cost(pid: int, words: int) -> int:
         lanes = result.attachment_edges.get(pid, 1)
@@ -344,6 +335,19 @@ def vertex_coordinated_rounds(result: MergeResult, bandwidth: int = 1) -> int:
 
     up = max((cost(pid, w) for pid, w in result.up_words.items()), default=0)
     down = max((cost(pid, w) for pid, w in result.down_words.items()), default=0)
+    return up, down
+
+
+def vertex_coordinated_rounds(result: MergeResult, bandwidth: int = 1) -> int:
+    """Round cost of one vertex-coordinated merge, without charging it.
+
+    Each part pipelines its summary toward the coordinator through *all*
+    of its merge edges in parallel (the interface is stored distributed
+    across the part — paper Section 3 — so disjoint pieces take disjoint
+    lanes): ``depth + ceil(words / lanes)`` rounds per part, all parts
+    concurrently; the decision scatter mirrors the gather.
+    """
+    up, down = _gather_scatter_rounds(result, bandwidth)
     return up + down
 
 
@@ -396,16 +400,7 @@ def charge_path_coordinated_merge(
     (depth + words), then all summaries stream along the path to the
     solving endpoint; scatter mirrors it.
     """
-    import math
-
-    def cost(pid: int, words: int) -> int:
-        lanes = result.attachment_edges.get(pid, 1)
-        return stream_rounds(
-            result.part_depths[pid] + 1, math.ceil(words / lanes), bandwidth
-        )
-
-    local_up = max((cost(pid, w) for pid, w in result.up_words.items()), default=0)
-    local_down = max((cost(pid, w) for pid, w in result.down_words.items()), default=0)
+    local_up, local_down = _gather_scatter_rounds(result, bandwidth)
     # The along-path backbone coordinates the parts with O(1) words per
     # part plus the path itself (the per-edge alignment data flows over
     # the parts' own half-embedded edges, not the path).

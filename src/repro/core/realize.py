@@ -1,35 +1,38 @@
 """Realizing a prescribed boundary order inside a part.
 
 After a merge coordinator solves the arrangement on the skeletons, each
-part receives the cyclic order its half-embedded edges must take around
-it, and must *realize* that order by re-arranging its internal embedding
-through the allowed interface moves (block flips and permutations around
-cut vertices — Figure 4 of the paper).
+part must give its half-embedded edges the cyclic order it receives.  It
+does so with the interface moves of Observation 3.2 and Figure 4 — block
+flips, and the order of blocks and stubs around cut vertices — applied
+to its own rotation.  Rooted at the first prescribed stub's endpoint,
+every block and vertex gets the interval of prescribed positions of the
+stubs behind it.  A block is kept if its stub-carrying children, read
+along its outer face from its entry vertex, come in increasing order,
+and flipped (its rings reversed) if decreasing.  A stub-carrying
+vertex's ring becomes its parent item's segment, cut after its outer
+corner, then its stub-carrying items in interval order; a stub-free item
+stays after the neighbour it followed (before it, if that neighbour's
+block flipped), and stub-free subtrees keep their rings.
 
-The realization uses a constraint gadget: a rim cycle ``c_1..c_m`` (one
-rim vertex per half-edge, in the prescribed cyclic order) with a hub on
-one side, each half-edge's endpoint tied to its rim vertex.  The gadget
-wheel is rigid up to a mirror, so a planar embedding of part+gadget
-exists iff the prescribed order is in the part's interface, and the
-extracted part rotation realizes it.  A final chirality normalization
-mirrors the part if the gadget came out reflected, so that realizations
-from one coordinator are mutually consistent.
+Correctness.  A block's *outer face* is the face of its own rotation that
+the part's outer face runs through: the walk to a stub behind a block
+enters it at its entry vertex and follows that face.  Any co-facial
+order gives each item's stubs one contiguous interval of the walk, so
+the order around each vertex is forced; a block's co-facial vertices have
+one cyclic order up to a flip, so its children come in the prescribed
+order, its reverse, or the order is outside the interface.  Blocks flip
+independently: reversed rings keep a block's faces, and items that do
+not interleave around a cut vertex keep the genus at zero.
 """
 
 from __future__ import annotations
 
 from collections.abc import Sequence
 
-from ..planar.graph import sort_key
-from ..planar.lr_planarity import NonPlanarGraphError, planar_embedding
+from ..planar.biconnected import BiconnectedDecomposition, biconnected_components
+from ..planar.graph import edge_id
 from ..planar.rotation import RotationSystem
-from .parts import (
-    HalfEdge,
-    PartEmbedding,
-    augment_with_stubs,
-    embed_with_boundary,
-    stub_node,
-)
+from .parts import HalfEdge, PartEmbedding, stub_node
 
 __all__ = ["RealizationError", "realize_boundary_order", "cyclic_equal"]
 
@@ -57,7 +60,9 @@ def cyclic_equal(a: Sequence, b: Sequence) -> bool:
 
 
 def realize_boundary_order(
-    part: PartEmbedding, prescribed: Sequence[HalfEdge]
+    part: PartEmbedding,
+    prescribed: Sequence[HalfEdge],
+    decomposition: BiconnectedDecomposition | None = None,
 ) -> RotationSystem:
     """A rotation of ``part`` whose boundary walk equals ``prescribed``.
 
@@ -65,61 +70,113 @@ def realize_boundary_order(
     :class:`RealizationError` if the order is outside the part's
     interface (which, when the order came from a faithful skeleton,
     indicates a bug — the merge layer treats it as a fallback trigger).
+    ``decomposition`` lets a caller share one biconnected decomposition
+    of ``part.graph`` with the part's skeleton.
     """
-    if sorted(prescribed, key=sort_key) != sorted(part.boundary, key=sort_key):
+    # Half-edges are distinct, so equal sizes and equal sets make a permutation.
+    if len(prescribed) != len(part.boundary) or set(prescribed) != set(part.boundary):
         raise ValueError("prescribed order is not a permutation of the boundary")
-    m = len(prescribed)
+    rotation, m = part.rotation, len(prescribed)
     if m <= 2:
-        # Any cyclic order of <= 2 half-edges is the same; any co-facial
-        # embedding (either chirality: a 2-attachment island can mirror
-        # freely) realizes it.
-        return embed_with_boundary(part.graph, part.boundary)
+        return rotation  # co-facial stubs; every cyclic order of two is one
+    stubs = [stub_node(h) for h in prescribed]
+    slot = {s: i for i, s in enumerate(stubs)}
+    root = prescribed[0][0]
+    face = rotation.face_of(root, stubs[0])
+    walk = [slot[v] for _, v in face if v in slot]
+    if walk == list(range(m)):
+        return rotation
+    outside = RealizationError(f"prescribed order is outside part {part.part_id}'s interface")
+    if len(walk) != m:
+        raise outside
 
-    gadget = part.graph.copy()
-    rim = [("c", i) for i in range(m)]
-    hub = ("ghub",)
-    for i, half_edge in enumerate(prescribed):
-        u, _ = half_edge
-        gadget.add_edge(u, rim[i])
-        gadget.add_edge(rim[i], rim[(i + 1) % m])
-        gadget.add_edge(hub, rim[i])
-    try:
-        rotation = planar_embedding(gadget)
-    except NonPlanarGraphError as exc:
-        raise RealizationError(
-            f"prescribed boundary order of part {part.part_id} is not realizable"
-        ) from exc
+    if decomposition is None:
+        decomposition = biconnected_components(part.graph)
+    block_of, blocks_of = decomposition.component_of_edge, decomposition.components_of
+    vertices_of = decomposition.component_by_id
+    arrive: dict = {}  # (block, v) -> the neighbour the face arrives from
+    met: dict = {}  # block -> its vertices in the order the face meets them
+    for u, v in face:
+        if u not in slot and v not in slot:
+            b = block_of[edge_id(u, v)]
+            arrive[b, v] = u
+            met.setdefault(b, []).append(v)
 
-    # Extract the part rotation: rim vertex c_i becomes the stub of the
-    # i-th prescribed half-edge.
-    stub_of_rim = {rim[i]: stub_node(prescribed[i]) for i in range(m)}
-    augmented = augment_with_stubs(part.graph, part.boundary)
-    order = {}
-    for v in part.graph.nodes():
-        ring = []
-        for u in rotation.order(v):
-            if u in stub_of_rim:
-                ring.append(stub_of_rim[u])
-            elif u == hub or (isinstance(u, tuple) and len(u) == 2 and u[0] == "c"):
-                continue  # pragma: no cover - rim/hub only touch attachments
+    # Root the block-cut structure (iteratively: subdivided parts nest
+    # hundreds of blocks deep), then the stub intervals bottom-up.
+    parent: dict = {root: None}  # vertex -> the block it hangs from
+    entry: dict = {}  # block -> the vertex it hangs from
+    blocks, stack = [], [root]
+    while stack:
+        v = stack.pop()
+        for b in blocks_of[v]:
+            if b not in entry:
+                entry[b] = v
+                blocks.append(b)
+                for w in vertices_of[b].vertices:
+                    if w != v:
+                        parent[w] = b
+                        stack.append(w)
+    lo, hi = {}, {}  # vertex -> first, last position of the stubs behind it
+    for i in range(1, m):
+        lo.setdefault(prescribed[i][0], i)
+        hi[prescribed[i][0]] = i
+    block_lo: dict = {}  # stub-carrying block -> first position behind it
+    for b in reversed(blocks):
+        e = entry[b]
+        kids = [w for w in vertices_of[b].vertices if w != e and w in lo]
+        if kids:
+            block_lo[b] = low = min(lo[w] for w in kids)
+            high = max(hi[w] for w in kids)
+            lo[e], hi[e] = min(lo.get(e, low), low), max(hi.get(e, high), high)
+
+    flipped = set()
+    for b in block_lo:
+        seq = met.get(b, [])
+        if entry[b] not in seq:
+            raise outside
+        i = seq.index(entry[b])
+        kids = [w for w in seq[i + 1 :] + seq[:i] if w in lo]
+        pairs = list(zip(kids, kids[1:]))
+        if not all(hi[a] < lo[c] for a, c in pairs):
+            if not all(hi[c] < lo[a] for a, c in pairs):
+                raise outside
+            flipped.add(b)
+
+    order = rotation.as_dict()
+    for v in set(lo).union(*(vertices_of[b].vertices for b in flipped)):
+        old = order[v]
+        if len(old) <= 2:
+            continue  # every order of two neighbours is the same ring
+        head = parent[v] if v != root else stubs[0]
+        only = blocks_of[v][0] if len(blocks_of[v]) == 1 else None
+        items = [w if w in slot else only or block_of[edge_id(v, w)] for w in old]
+        edges: dict = {}  # item (a stub or a block) -> its neighbours here
+        for w, x in zip(old, items):
+            edges.setdefault(x, []).append(w)
+        carrying = {x for x in edges if x == head or x in slot or x in block_lo}
+        # Each run of stub-free items stays after the carrying edge before it.
+        k = next(i for i, x in enumerate(items) if x in carrying)
+        runs, anchor = {}, old[k]
+        for w, x in zip(old[k + 1 :] + old[:k], items[k + 1 :] + items[:k]):
+            if x in carrying:
+                anchor = w
             else:
-                ring.append(u)
-        order[v] = tuple(ring)
-    for half_edge in part.boundary:
-        order[stub_node(half_edge)] = (half_edge[0],)
-    realized = RotationSystem.trusted(augmented, order)
+                runs.setdefault(anchor, []).append(w)
+        kids = sorted(carrying - {head}, key=lambda x: slot[x] if x in slot else block_lo[x])
+        ring = []
+        for x in (head, *kids):
+            segment, flip = edges[x], x in flipped
+            if (x, v) in arrive:  # cut after the outer corner
+                i = segment.index(arrive[x, v]) + 1
+                segment = segment[i:] + segment[:i]
+            for w in segment[::-1] if flip else segment:
+                run = runs.get(w, [])
+                ring += run + [w] if flip else [w] + run
+        if not cyclic_equal(ring, old):
+            order[v] = tuple(ring)
 
-    # Chirality normalization: the gadget forces the order up to a global
-    # mirror; make the boundary walk match ``prescribed`` exactly so that
-    # sibling parts realized against one coordinator embedding compose.
-    walk = part.with_rotation(realized).boundary_order()
-    if cyclic_equal(walk, list(prescribed)):
-        return realized
-    mirrored = realized.mirrored()
-    walk_m = part.with_rotation(mirrored).boundary_order()
-    if cyclic_equal(walk_m, list(prescribed)):
-        return mirrored
-    raise RealizationError(
-        f"gadget produced boundary order {walk!r} incompatible with "
-        f"prescription {list(prescribed)!r}"
-    )
+    realized = RotationSystem.trusted(rotation.graph, order)
+    if [slot[v] for _, v in realized.face_of(root, stubs[0]) if v in slot] != list(range(m)):
+        raise outside
+    return realized

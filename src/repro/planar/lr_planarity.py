@@ -65,7 +65,7 @@ class NonPlanarGraphError(ValueError):
 # with the same structure therefore get the same verdict and the same
 # int-level rotations — only the final int->node mapping differs.  The
 # recursion embeds thousands of small parts (leaf stars, short paths,
-# repeated realization gadgets) that collide on structure constantly, so
+# small split-off parts) that collide on structure constantly, so
 # both the verdict and the embedding are cached per structure.  Caches
 # are cleared wholesale when full.
 _MEMO_MISS = object()

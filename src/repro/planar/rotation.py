@@ -137,15 +137,16 @@ class RotationSystem:
         if not self.graph.has_edge(u, v):
             raise RotationError(f"no such edge: {u!r}-{v!r}")
         walk = [(u, v)]
-        cur_u, cur_v = u, v
+        order, pos = self._order, self._pos
+        a, b = u, v
         while True:
-            # Next dart of the face: arrive at cur_v, leave along the edge
-            # clockwise-after the reversal (cur_v -> cur_u).
-            nxt = self.next_after(cur_v, cur_u)
-            cur_u, cur_v = cur_v, nxt
-            if (cur_u, cur_v) == (u, v):
+            # Next dart of the face: arrive at b, leave along the edge
+            # clockwise-after the reversal (b -> a).
+            ring = order[b]
+            a, b = b, ring[(pos(b)[a] + 1) % len(ring)]
+            if a == u and b == v:
                 return walk
-            walk.append((cur_u, cur_v))
+            walk.append((a, b))
 
     def mirrored(self) -> "RotationSystem":
         """The mirror image (every rotation reversed).

@@ -10,9 +10,12 @@ one key:
 
 **exact** — the submission's insertion-order fingerprint matches a
     stored entry.  The stored verdict is returned verbatim and is
-    **bit-identical** to what a cold run would produce (the whole
-    pipeline is deterministic given the adjacency structure; the E16/E15
-    differential suites are the standing proof).
+    **bit-identical** to what a cold run of the code that wrote the
+    record would produce (the whole pipeline is deterministic given the
+    adjacency structure; the E16/E15 differential suites are the
+    standing proof).  A store written by an older version serves that
+    version's rotation, which is still a valid planar embedding: E32
+    changed output rotations, not ledgers.
 
 **canonical** — no exact match, but the query's WL refinement is
     *discrete* (all vertex colors distinct) and a stored entry kept its

@@ -213,9 +213,18 @@ def test_to_result_after_a_patch_certifies_the_live_labels():
     g = demo_graph(["grid", 12, 12], seed=0)
     plan = DynamicCertifiedEmbedding(g).run_churn(16, seed=3).plan
     engine = DynamicCertifiedEmbedding(g)
-    assert engine.certification().accepted
-    _, a, b = next(op for op in plan if op[0] == "insert")
-    assert engine.insert_edge(a, b).mode == "patched"
+    # The subject is a patched insert: replay the plan up to the first
+    # insert the engine patches (an insert may rebuild the certificate
+    # instead, depending on the rotation), reading before each insert.
+    for kind, a, b in plan:
+        if kind == "delete":
+            engine.delete_edge(a, b)
+            continue
+        assert engine.certification().accepted
+        record = engine.insert_edge(a, b)
+        if record.mode == "patched":
+            break
+    assert record.mode == "patched"
     result = engine.to_result()
     assert result.compact_certificates.decode() == result.certificates
     assert result.certificates.labels[a].m == engine.graph.num_edges

@@ -30,7 +30,11 @@ splice has a single candidate, and it is planar by construction:
 * an island fits any corner at its anchor, so every pendant goes into
   the corner after the anchor's first neighbor;
 * a two-terminal piece fits any pair of corners of one face, so it goes
-  into the corners at ``i`` and ``j`` of the first face holding both.
+  into the first corners at ``i`` and ``j`` of the first face holding
+  both whose stubs all stay on one side of the piece (else of the first
+  face holding both).  The piece splits that face in two; a face whose
+  stubs it separated would leave the merged part's half-edges on two
+  faces, which no later merge can realize.
 
 A splice that is not planar — possible only for parts that break those
 invariants — fails the final check with :class:`AssemblyError`.
@@ -42,7 +46,7 @@ from collections.abc import Iterable
 
 from ..planar.graph import Graph, NodeId
 from ..planar.rotation import RotationSystem, trace_faces
-from .parts import PartEmbedding, augment_with_stubs
+from .parts import PartEmbedding, augment_with_stubs, is_stub
 
 __all__ = [
     "AssemblyError",
@@ -95,6 +99,15 @@ def _split_two_terminal(
     return i_bundle, j_bundle
 
 
+def _keeps_stubs_together(face: list[tuple], i: NodeId, j: NodeId) -> bool:
+    """Whether a piece spliced at the first corners of ``face`` at ``i``
+    and at ``j`` leaves every stub of the face on one side of it."""
+    a = next(k for k, (_, y) in enumerate(face) if y == i)
+    b = next(k for k, (_, y) in enumerate(face) if y == j)
+    lo, hi = sorted((a, b))
+    return len({lo < k <= hi for k, (_, y) in enumerate(face) if is_stub(y)}) <= 1
+
+
 def _spliced(ring: tuple, after: NodeId, bundle: list[NodeId]) -> tuple:
     """``ring`` with ``bundle`` reversed in right after ``after``."""
     pos = ring.index(after) + 1
@@ -113,7 +126,8 @@ def assemble(
     bundles side by side in its first corner, the latest first.
     ``two_terminal`` are ``(i, j, part)`` triples spliced after them in
     the order given, each into the first face (in ``trace_faces`` order of
-    the rotation as spliced so far) that holds both ``i`` and ``j``.
+    the rotation as spliced so far) that holds both ``i`` and ``j`` and
+    keeps its stubs on one side, or else the first that holds both.
     Raises :class:`AssemblyError` when the result is not planar.
     """
     graph = merged.graph.copy()
@@ -138,9 +152,10 @@ def assemble(
     for i, j, part in two_terminal:
         i_bundle, j_bundle = _split_two_terminal(part, i, j)
         faces = trace_faces(RotationSystem(augment_with_stubs(graph, merged.boundary), order))
-        face = next((f for f in faces if {i, j} <= {u for u, _ in f}), None)
-        if face is None:
+        holding = [f for f in faces if {i, j} <= {u for u, _ in f}]
+        if not holding:
             raise AssemblyError(f"no face contains both {i!r} and {j!r}")
+        face = next((f for f in holding if _keeps_stubs_together(f, i, j)), holding[0])
         i_after = next(x for x, y in face if y == i)
         j_after = next(x for x, y in face if y == j)
         _add_part(graph, part, [(u, i) for u in i_bundle] + [(u, j) for u in j_bundle])

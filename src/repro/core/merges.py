@@ -190,7 +190,7 @@ def merge_parts(parts: list[PartEmbedding]) -> MergeResult:
 
 
 def _reduced_summary_words(
-    p: PartEmbedding, connecting_set: set, decomposition=None
+    p: PartEmbedding, connecting_set: set, face: list, decomposition=None
 ) -> int:
     """Words of the *merge-relevant* compressed summary of ``p``.
 
@@ -205,12 +205,20 @@ def _reduced_summary_words(
     run's own half-edges is settled by the later merge that consumes it.
     The block structure is the skeleton over the participating
     attachments, counted from ``decomposition`` without being built.
+    The runs are read off ``face``, the part's outer face
+    (:meth:`PartEmbedding.outer_face`), whose stubs come in boundary-walk
+    order.
     """
     participating = [h for h in p.boundary if frozenset(h) in connecting_set]
     if not participating:
         return 2
     # runs of non-participating half-edges between participating slots
-    walk = p.boundary_order()
+    walk = [(s[1], s[2]) for _, s in face if is_stub(s)]
+    if len(walk) != len(p.boundary):
+        raise RotationError(
+            f"boundary walk visited {len(walk)} of {len(p.boundary)} out-darts "
+            f"of part {p.part_id}"
+        )
     runs = 0
     prev_participating = frozenset(walk[-1]) in connecting_set
     for h in walk:
@@ -232,17 +240,20 @@ def _skeleton_merge(
     """The faithful skeleton-based merge; ``None`` when verification fails."""
     skeletons = {}
     decompositions = {}
+    faces = {}
     connecting_keys = {frozenset(e) for e in connecting}
     for p in parts:
         # One biconnected decomposition per part serves its skeleton, the
-        # reduced summary and the realization (which builds it if None).
+        # reduced summary and the realization (which builds it if None);
+        # one trace of its outer face serves the summary and realization.
         decomp = (
             biconnected_components(p.graph) if len(p.attachments()) > 1 else None
         )
         decompositions[p.part_id] = decomp
+        faces[p.part_id] = face = p.outer_face()
         skeletons[p.part_id] = interface_skeleton(p, decomposition=decomp)
         result.up_words[p.part_id] = _reduced_summary_words(
-            p, connecting_keys, decomposition=decomp
+            p, connecting_keys, face, decomposition=decomp
         )
 
     # The coordinator's instance: skeleton union + connecting edges + rest.
@@ -287,21 +298,19 @@ def _skeleton_merge(
         # rotation locally (the Section 3 distributed representation).
         # That is proportional to the skeleton, not to the boundary.
         result.down_words[p.part_id] = result.up_words[p.part_id]
-        realized = realize_boundary_order(p, prescribed, decompositions[p.part_id])
-        # Fold the realized rotations into the merged part, resolving
-        # stubs of connecting edges into real neighbors.
-        for v in p.graph.nodes():
-            ring = []
-            for nb in realized.order(v):
-                if is_stub(nb):
-                    half = (nb[1], nb[2])
-                    if frozenset(half) in connecting_keys:
-                        ring.append(half[1])
-                    else:
-                        ring.append(nb)  # still external: keep the stub
-                else:
-                    ring.append(nb)
-            merged_order[v] = tuple(ring)
+        realized = realize_boundary_order(
+            p, prescribed, decompositions[p.part_id], faces[p.part_id]
+        )
+        # Fold the realized rotations into the merged part.  Only rings of
+        # attachment vertices hold stubs: there the stubs of connecting
+        # edges resolve into real neighbours, and external ones stay.
+        for v in p.graph:
+            merged_order[v] = realized.order(v)
+        resolve = {
+            stub_node(h): h[1] for h in p.boundary if frozenset(h) in connecting_keys
+        }
+        for u in {s[1] for s in resolve}:
+            merged_order[u] = tuple(resolve.get(nb, nb) for nb in merged_order[u])
 
     merged_graph = union
     augmented = augment_with_stubs(merged_graph, new_boundary)

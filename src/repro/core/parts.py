@@ -10,8 +10,10 @@ endpoint (the paper's output format needs exactly this).
 The safety property (Definition 3.1) — removing any non-trivial part
 leaves the remainder connected — guarantees that all of a part's stubs
 lie on one face.  ``embed_with_boundary`` constructs embeddings with this
-invariant, and :class:`PartitionState` provides the auditable
-whole-partition safety check used by experiment E6.
+invariant (a lone vertex, whose stubs are co-facial in any order, gets
+its ring in closed form, with no LR run), and :class:`PartitionState`
+provides the auditable whole-partition safety check used by experiment
+E6.
 """
 
 from __future__ import annotations
@@ -95,10 +97,20 @@ def embed_with_boundary(graph: Graph, boundary: list[HalfEdge]) -> RotationSyste
     Figure 1(b)), embed with the LR kernel, and delete the rest vertex.
     Raises :class:`NonPlanarNetworkError` when impossible — which, under
     the safety property, happens only for non-planar inputs.
+
+    A lone vertex needs no kernel: its stubs ``s_1 .. s_k`` are all on its
+    one face whatever their order, and it gets the ring
+    ``(s_1, s_k, s_(k-1), .., s_2)``, the one the LR kernel gives the
+    stub star plus *rest*.
     """
     augmented = augment_with_stubs(graph, boundary)
     rest = ("rest",)
     stubs = [stub_node(h) for h in boundary]
+    if graph.num_nodes == 1:
+        (v,) = graph.nodes()
+        order = {v: tuple(stubs[:1] + stubs[:0:-1])}
+        order.update(dict.fromkeys(stubs, (v,)))
+        return RotationSystem.trusted(augmented, order)
     if len(stubs) >= 2:
         augmented.add_node(rest)
         for s in stubs:
@@ -195,6 +207,13 @@ class PartEmbedding:
                 raise AssertionError(f"non-stub out-dart {u!r}->{s!r}")
             order.append((s[1], s[2]))
         return order
+
+    def outer_face(self) -> list[tuple[NodeId, NodeId]]:
+        """The face of the rotation through the first half-edge's stub, as
+        darts: the face holding every stub when they are co-facial."""
+        if not self.boundary:
+            return []
+        return self.rotation.face_of(self.boundary[0][0], stub_node(self.boundary[0]))
 
     def with_rotation(self, rotation: RotationSystem) -> "PartEmbedding":
         return replace(self, rotation=rotation)

@@ -23,6 +23,11 @@ one cyclic order up to a flip, so its children come in the prescribed
 order, its reverse, or the order is outside the interface.  Blocks flip
 independently: reversed rings keep a block's faces, and items that do
 not interleave around a cut vertex keep the genus at zero.
+
+The merge traces each part's outer face once, for its summary's word
+count, and hands that trace in: realization starts it at the first
+prescribed stub instead of tracing it again.  Only the final check of
+the new walk traces the new rotation.
 """
 
 from __future__ import annotations
@@ -63,6 +68,7 @@ def realize_boundary_order(
     part: PartEmbedding,
     prescribed: Sequence[HalfEdge],
     decomposition: BiconnectedDecomposition | None = None,
+    face: list | None = None,
 ) -> RotationSystem:
     """A rotation of ``part`` whose boundary walk equals ``prescribed``.
 
@@ -71,7 +77,9 @@ def realize_boundary_order(
     interface (which, when the order came from a faithful skeleton,
     indicates a bug — the merge layer treats it as a fallback trigger).
     ``decomposition`` lets a caller share one biconnected decomposition
-    of ``part.graph`` with the part's skeleton.
+    of ``part.graph`` with the part's skeleton, and ``face`` one trace of
+    the part's outer face (the face of ``part.rotation`` holding its
+    stubs, from any dart) with its summary.
     """
     # Half-edges are distinct, so equal sizes and equal sets make a permutation.
     if len(prescribed) != len(part.boundary) or set(prescribed) != set(part.boundary):
@@ -82,11 +90,18 @@ def realize_boundary_order(
     stubs = [stub_node(h) for h in prescribed]
     slot = {s: i for i, s in enumerate(stubs)}
     root = prescribed[0][0]
-    face = rotation.face_of(root, stubs[0])
+    outside = RealizationError(f"prescribed order is outside part {part.part_id}'s interface")
+    start = (root, stubs[0])
+    if face is None:
+        face = rotation.face_of(*start)
+    elif face[0] != start:
+        if start not in face:
+            raise outside  # the stubs are not on one face
+        i = face.index(start)
+        face = face[i:] + face[:i]
     walk = [slot[v] for _, v in face if v in slot]
     if walk == list(range(m)):
         return rotation
-    outside = RealizationError(f"prescribed order is outside part {part.part_id}'s interface")
     if len(walk) != m:
         raise outside
 
@@ -177,6 +192,6 @@ def realize_boundary_order(
             order[v] = tuple(ring)
 
     realized = RotationSystem.trusted(rotation.graph, order)
-    if [slot[v] for _, v in realized.face_of(root, stubs[0]) if v in slot] != list(range(m)):
+    if [slot[v] for _, v in realized.face_of(*start) if v in slot] != list(range(m)):
         raise outside
     return realized

@@ -243,26 +243,18 @@ def embed_subtree(
         metrics.absorb_parallel(branch_metrics, phase="recursion")
 
         # --- merge: P0 plus the hanging parts. --------------------------------
-        p0_graph = Graph(nodes=p0_order)
-        for a, b in zip(p0_order, p0_order[1:]):
-            p0_graph.add_edge(a, b)
-        p0_part = fresh_part(
-            p0_graph,
-            _external_boundary(ctx, p0_set, index.sort(p0_set)),
-            depth=max(len(p0_order) - 1, 0),
-            part_id=path,
-        )
         with maybe_span(
             tracer, "merge", kind="merge",
             p0_length=len(p0_order), hanging_parts=len(parts),
         ) as merge_span:
             merged, merge_stats = unrestricted_path_merge(
-                p0_part,
                 p0_order,
+                _external_boundary(ctx, p0_set, index.sort(p0_set)),
                 parts,
                 metrics,
                 bandwidth=ctx.bandwidth,
                 split_validator=ctx.try_split,
+                p0_id=path,
             )
             if merge_span is not None:
                 merge_span.attrs["final_instance_parts"] = merge_stats.final_instance_parts

@@ -16,7 +16,10 @@ six steps implemented here follow the paper's numbered algorithm:
    (d) parts connected to a single ``P0`` vertex plus the outside world
        freeze until the final merge;
    (e) every remaining merged part adopts a split-off *copy* of its
-       coordinator vertex, restoring O(D) diameter;
+       coordinator vertex, restoring O(D) diameter; the copy is spliced
+       into the part's own rotation when the edges it takes over end in
+       one run of the part's outer face (:func:`adopt_copy`), and the
+       part is re-embedded only otherwise;
    (f) the Lemma 5.3 symmetry breaking on the inter-part graph, colored
        by low-connection;
    (g, h) star merges on the resulting V-stars and short chains;
@@ -27,6 +30,9 @@ six steps implemented here follow the paper's numbered algorithm:
    exit and are re-inserted at assembly in canonical ID order;
 6. one restricted path-coordinated merge over ``P0`` and the surviving
    parts finishes the job.
+
+``P0`` itself is embedded once, against its boundary as the merge left
+it, for the final merge.
 
 Every stage's communication is charged from measured part depths and
 payload sizes; the stage-by-stage part counts are recorded in
@@ -41,6 +47,7 @@ from dataclasses import dataclass, field, replace
 
 from ..congest.metrics import RoundMetrics
 from ..planar.graph import Graph, NodeId
+from ..planar.rotation import RotationSystem
 from .assembly import assemble
 from .merges import (
     MergeResult,
@@ -48,10 +55,18 @@ from .merges import (
     merge_parts,
     vertex_coordinated_rounds,
 )
-from .parts import HalfEdge, PartEmbedding, fresh_part, graph_depth
+from .parts import (
+    HalfEdge,
+    PartEmbedding,
+    augment_with_stubs,
+    fresh_part,
+    graph_depth,
+    is_stub,
+    stub_node,
+)
 from .symmetry import symmetry_break
 
-__all__ = ["UnrestrictedMergeStats", "unrestricted_path_merge"]
+__all__ = ["UnrestrictedMergeStats", "adopt_copy", "unrestricted_path_merge"]
 
 # Split-off copy serials are allocated per merge driver, not from a
 # process-global counter: every part ID active in a driver belongs to
@@ -97,24 +112,69 @@ def _cluster(pids: list[int], adjacency: dict[int, set[int]]) -> list[list[int]]
     return clusters
 
 
+def adopt_copy(part: PartEmbedding, copy: NodeId, coordinator: NodeId) -> PartEmbedding:
+    """Step 2(e) on one part: its half-edges to ``coordinator`` become
+    edges to the new vertex ``copy``, which takes the one half-edge
+    ``(copy, coordinator)``.
+
+    The copy is spliced into the part's own rotation when the stubs
+    ``s_i .. s_j`` it replaces are one cyclic run of the part's outer face
+    (:meth:`PartEmbedding.outer_face`, holding all m stubs), met at the
+    vertices ``u_i .. u_j``: each ``u_k`` gets ``copy`` in its
+    stub's place, ``copy`` gets the ring ``(stub_c, u_j, .., u_i)`` and
+    ``stub_c``, the stub of ``(copy, coordinator)``, the ring ``(copy,)``.
+    That is planar with every stub on one face: the copy sits in the
+    outer face; each pair ``u_k, u_(k+1)`` of the run closes the inner
+    face ``copy -> u_k -> (the old walk) -> u_(k+1) -> copy``; the outer
+    face goes on ``u_i -> copy -> stub_c -> copy -> u_j``.  The run's r
+    stubs give way to two vertices and r edges to one edge more, and
+    r - 1 new faces, so V - E + F does not change.  Otherwise the part
+    is re-embedded (:func:`fresh_part`).
+    """
+    graph = part.graph.copy()
+    for u, x in part.boundary:
+        if x == coordinator:
+            graph.add_edge(u, copy)
+    boundary = [(u, x) for u, x in part.boundary if x != coordinator]
+    boundary.append((copy, coordinator))
+    walk = [s for _, s in part.outer_face() if is_stub(s)]
+    m = len(walk)
+    rerouted = [s[2] == coordinator for s in walk]
+    starts = [k for k in range(m) if rerouted[k] and not rerouted[k - 1]]
+    if m != len(part.boundary) or len(starts) > 1:
+        return fresh_part(graph, boundary, part_id=part.part_id)
+    i = starts[0] if starts else 0
+    run = (walk[i:] + walk[:i])[: sum(rerouted)]
+    order = part.rotation.as_dict()
+    for s in run:
+        del order[s]
+        order[s[1]] = tuple(copy if w == s else w for w in order[s[1]])
+    stub_c = stub_node((copy, coordinator))
+    order[copy] = (stub_c, *(s[1] for s in reversed(run)))
+    order[stub_c] = (copy,)
+    rotation = RotationSystem.trusted(augment_with_stubs(graph, boundary), order)
+    return PartEmbedding(part.part_id, graph, boundary, rotation, graph_depth(graph))
+
+
 class _MergeDriver:
     """Mutable state of one unrestricted path-coordinated merge."""
 
     def __init__(
         self,
-        p0_part: PartEmbedding,
         p0_order: list[NodeId],
+        p0_boundary: list[HalfEdge],
         hanging: list[PartEmbedding],
         metrics: RoundMetrics,
         bandwidth: int,
         split_validator=None,
+        p0_id=None,
     ) -> None:
-        self.p0 = p0_part
+        self.p0_id = p0_id
         self.p0_order = list(p0_order)
         self.p0_set = set(p0_order)
         self.index = {v: i for i, v in enumerate(p0_order)}
         self.active: dict[int, PartEmbedding] = {p.part_id: p for p in hanging}
-        self.p0_boundary: list[HalfEdge] = list(p0_part.boundary)
+        self.p0_boundary: list[HalfEdge] = list(p0_boundary)
         self.gone: set[NodeId] = set()  # vertices of discharged parts
         self.skip_iteration: set[int] = set()
         self.pendants: list[tuple[NodeId, PartEmbedding]] = []
@@ -133,16 +193,20 @@ class _MergeDriver:
         return {v: pid for pid, p in self.active.items() for v in p.vertices}
 
     def _p0_part(self) -> PartEmbedding:
-        """The P0 part re-embedded against its current boundary: deduped,
-        without the edges to discharged parts."""
+        """The P0 path embedded against its current boundary: deduped,
+        without the edges to discharged parts.  The one P0 embed of a
+        merge: nothing reads a P0 rotation before this point."""
         seen = set()
         unique = []
         for h in self.p0_boundary:
             if h not in seen and h[1] not in self.gone:
                 seen.add(h)
                 unique.append(h)
+        graph = Graph(nodes=self.p0_order)
+        for a, b in zip(self.p0_order, self.p0_order[1:]):
+            graph.add_edge(a, b)
         return fresh_part(
-            self.p0.graph, unique, depth=self.p0.depth, part_id=self.p0.part_id
+            graph, unique, depth=len(self.p0_order) - 1, part_id=self.p0_id
         )
 
     def _replace_part(self, old_ids: list[int], result: MergeResult) -> int:
@@ -366,12 +430,7 @@ class _MergeDriver:
             return
         if self.split_validator is None and len(rerouted) > 1:
             return  # without an oracle, only subdivision splits are safe
-        graph = part.graph.copy()
-        for u in rerouted:
-            graph.add_edge(u, copy)
-        boundary = [(u, x) for u, x in part.boundary if x != coordinator]
-        boundary.append((copy, coordinator))
-        new_part = fresh_part(graph, boundary, part_id=pid)
+        new_part = adopt_copy(part, copy, coordinator)
         self.active[pid] = new_part
         self._split_depths.append(new_part.depth)
         # P0's view: the rerouted edges collapse into one virtual edge.
@@ -439,20 +498,24 @@ class _MergeDriver:
 
 
 def unrestricted_path_merge(
-    p0_part: PartEmbedding,
     p0_order: list[NodeId],
+    p0_boundary: list[HalfEdge],
     hanging: list[PartEmbedding],
     metrics: RoundMetrics,
     bandwidth: int = 1,
     split_validator=None,
+    p0_id=None,
 ) -> tuple[PartEmbedding, UnrestrictedMergeStats]:
-    """Merge ``P0`` with its hanging parts; see the module docstring.
+    """Merge the path ``P0`` with its hanging parts; see the module docstring.
 
+    ``P0`` is the path through ``p0_order`` with the half-edges
+    ``p0_boundary``, and ``p0_id`` is its part ID (``None``: allocate
+    one); the merge embeds it once, for the final merge.
     ``split_validator`` is the oracle for step-2(e) split-offs (see
     ``RecursionContext.try_split``); without one, only always-safe
     single-edge splits are performed.
     """
     driver = _MergeDriver(
-        p0_part, p0_order, hanging, metrics, bandwidth, split_validator
+        p0_order, p0_boundary, hanging, metrics, bandwidth, split_validator, p0_id
     )
     return driver.run()

@@ -1,11 +1,13 @@
 """Pendant / two-terminal assembly and copy expansion."""
 
+import networkx as nx
 import pytest
 
+from repro import distributed_planar_embedding
 from repro.core import AssemblyError, assemble, expand_copies, fresh_part
 from repro.core.assembly import is_copy
 from repro.planar import Graph, RotationSystem
-from repro.planar.generators import cycle_graph, grid_graph, path_graph
+from repro.planar.generators import cycle_graph, grid_graph, path_graph, random_planar
 from repro.planar.lr_planarity import planar_embedding
 
 
@@ -66,6 +68,17 @@ class TestInsertTwoTerminal:
         part = fresh_part(Graph(nodes=[50]), [(50, 1)])
         with pytest.raises(AssemblyError, match="does not reach both"):
             assemble(host, two_terminal=[(1, 2, part)])
+
+    @pytest.mark.parametrize("n,seed", [(60, 1), (200, 7), (200, 14), (300, 1)])
+    def test_splice_keeps_the_merged_stubs_on_one_face(self, n, seed):
+        """On these inputs the first face holding both terminals separates
+        the merged part's stubs; spliced there, the next merge could not
+        read the part's boundary walk and re-embedded the union."""
+        result = distributed_planar_embedding(random_planar(n, seed=seed))
+        assert result.merge_fallbacks == 0
+        embedding = nx.PlanarEmbedding()
+        embedding.set_data({v: list(ring) for v, ring in result.rotation.items()})
+        embedding.check_structure()
 
 
 class TestExpandCopies:

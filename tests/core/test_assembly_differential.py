@@ -5,12 +5,16 @@ one ring map and genus-checks it once.  :mod:`tests.core.assembly_reference`
 keeps the splicers it replaced, which copy, rebuild and check the merged
 part after every splice and search up to eight chiralities.  The reference
 always keeps its first candidate on these inputs, so the two must agree
-exactly:
+exactly, except where the reference's first face for an (i, j)-part
+separates the host's stubs:
 
 * **unit** — on seeded hosts with pendants (1-4 edges, several per anchor,
   an anchor whose ring starts empty) and (i, j)-parts (2-4 edges, several
   per pair): equal rotation tuples in equal vertex order, and equal graph
-  node and edge order;
+  node and edge order; on scenario 19, whose first face separates the
+  stubs, ``assemble`` keeps them on one face and the reference does not
+  (scenario 11 has no face that keeps them together, so both take the
+  first);
 * **pipeline** — with the merge driver's ``assemble`` swapped for the
   reference: equal rotations, ledgers, reports and merge statistics.
 """
@@ -23,8 +27,10 @@ import pytest
 
 from repro import distributed_planar_embedding
 from repro.core import assemble, fresh_part
+from repro.core.parts import stub_node
 from repro.core import unrestricted as unrestricted_mod
 from repro.planar import Graph
+from repro.planar.verify import EmbeddingViolation, check_embedding_with_boundary
 from repro.planar.generators import (
     binary_tree,
     caterpillar,
@@ -124,11 +130,26 @@ def scenario(seed):
     return host, pendants, two_terminal
 
 
+def stubs_cofacial(part):
+    try:
+        check_embedding_with_boundary(part.rotation, [stub_node(h) for h in part.boundary])
+    except EmbeddingViolation:
+        return False
+    return True
+
+
+SEPARATED_BY_REFERENCE = {19}
+
+
 @pytest.mark.parametrize("seed", range(60))
 def test_assemble_matches_reference(seed):
     host, pendants, two_terminal = scenario(seed)
     expected = reference_assemble(host, pendants, two_terminal)
-    assert snapshot(assemble(host, pendants, two_terminal)) == snapshot(expected)
+    assembled = assemble(host, pendants, two_terminal)
+    if seed in SEPARATED_BY_REFERENCE:
+        assert stubs_cofacial(assembled) and not stubs_cofacial(expected)
+    else:
+        assert snapshot(assembled) == snapshot(expected)
 
 
 def test_scenarios_cover_the_splice_cases():

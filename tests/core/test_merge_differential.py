@@ -223,15 +223,19 @@ def assert_planar_embedding(result):
     }
 
 
-def gadget_realize(part, prescribed, decomposition=None):
+def gadget_realize(part, prescribed, decomposition=None, face=None):
     return ref.realize_boundary_order(part, prescribed)
+
+
+def second_skeleton_words(p, connecting_set, face, decomposition=None):
+    return ref._reduced_summary_words(p, connecting_set)
 
 
 @pytest.mark.parametrize("family,make", CORPUS, ids=IDS)
 def test_pipeline_matches_reference(family, make, monkeypatch):
     moves = distributed_planar_embedding(make())
     monkeypatch.setattr(merges_module, "realize_boundary_order", gadget_realize)
-    monkeypatch.setattr(merges_module, "_reduced_summary_words", ref._reduced_summary_words)
+    monkeypatch.setattr(merges_module, "_reduced_summary_words", second_skeleton_words)
     gadget = distributed_planar_embedding(make())
     assert fingerprint(moves) == fingerprint(gadget)
     assert moves.merge_fallbacks == 0
@@ -244,8 +248,8 @@ def test_reduced_words_match_reference(family, make, monkeypatch):
     counted = merges_module._reduced_summary_words
     pairs = []
 
-    def both(p, connecting_set, decomposition=None):
-        words = counted(p, connecting_set, decomposition=decomposition)
+    def both(p, connecting_set, face, decomposition=None):
+        words = counted(p, connecting_set, face, decomposition=decomposition)
         pairs.append((words, ref._reduced_summary_words(p, connecting_set)))
         return words
 

@@ -11,7 +11,7 @@ from repro.planar.generators import caterpillar, grid_graph, path_graph, star_gr
 
 
 def build_scenario(graph, p0_nodes, hanging_groups):
-    """Assemble P0 + hanging parts over ``graph`` with full boundaries."""
+    """P0's half-edges + hanging parts over ``graph`` with full boundaries."""
     def boundary_of(nodes):
         return [
             (u, x)
@@ -20,8 +20,7 @@ def build_scenario(graph, p0_nodes, hanging_groups):
             if x not in nodes
         ]
 
-    p0_graph = graph.subgraph(p0_nodes)
-    p0 = fresh_part(p0_graph, boundary_of(set(p0_nodes)))
+    p0 = boundary_of(set(p0_nodes))
     hanging = [
         fresh_part(graph.subgraph(nodes), boundary_of(set(nodes)))
         for nodes in hanging_groups
@@ -37,7 +36,7 @@ class TestWholeGraphMerges:
         rows = [{0, 1, 2, 3, 4}, {10, 11, 12, 13, 14}]
         p0, hanging = build_scenario(g, p0_nodes, rows)
         metrics = RoundMetrics()
-        merged, stats = unrestricted_path_merge(p0, p0_nodes, hanging, metrics)
+        merged, stats = unrestricted_path_merge(p0_nodes, p0, hanging, metrics)
         assert merged.vertices >= set(g.nodes())
         assert merged.boundary == []
         assert merged.rotation.genus() == 0
@@ -57,7 +56,7 @@ class TestWholeGraphMerges:
         p0_nodes = [0, 1, 2, 3, 4]
         p0, hanging = build_scenario(g, p0_nodes, pendant_nodes)
         metrics = RoundMetrics()
-        merged, stats = unrestricted_path_merge(p0, p0_nodes, hanging, metrics)
+        merged, stats = unrestricted_path_merge(p0_nodes, p0, hanging, metrics)
         assert merged.boundary == []
         assert merged.rotation.genus() == 0
         # each pendant connects to exactly one P0 vertex and nothing else:
@@ -78,7 +77,7 @@ class TestWholeGraphMerges:
         p0_nodes = [0, 1, 2]
         p0, hanging = build_scenario(g, p0_nodes, groups)
         metrics = RoundMetrics()
-        merged, stats = unrestricted_path_merge(p0, p0_nodes, hanging, metrics)
+        merged, stats = unrestricted_path_merge(p0_nodes, p0, hanging, metrics)
         assert merged.boundary == []
         assert merged.rotation.genus() == 0
         assert stats.two_terminal_exited == 3  # all but the highest-ID one
@@ -92,7 +91,7 @@ class TestWholeGraphMerges:
             hanging[0].graph, hanging[0].boundary + [(4, 999)]
         )
         metrics = RoundMetrics()
-        merged, stats = unrestricted_path_merge(p0, p0_nodes, hanging, metrics)
+        merged, stats = unrestricted_path_merge(p0_nodes, p0, hanging, metrics)
         assert merged.boundary == [(4, 999)]
         assert merged.rotation.genus() == 0
 
@@ -100,9 +99,12 @@ class TestWholeGraphMerges:
         g = path_graph(4)
         p0, _ = build_scenario(g, [0, 1, 2, 3], [])
         metrics = RoundMetrics()
-        merged, stats = unrestricted_path_merge(p0, [0, 1, 2, 3], [], metrics)
+        merged, stats = unrestricted_path_merge([0, 1, 2, 3], p0, [], metrics)
         assert merged.vertices == {0, 1, 2, 3}
         assert stats.initial_parts == 0
+        # P0 alone: the path through p0_order, its depth the path's length
+        assert merged.graph.edges() == [(0, 1), (1, 2), (2, 3)]
+        assert merged.depth == 3
 
 
 class TestStatsAndCharges:
@@ -114,7 +116,7 @@ class TestStatsAndCharges:
         rows = [{0, 1, 2}, {3, 4, 5}, {12, 13, 14}, {15, 16, 17}]
         p0, hanging = build_scenario(g, p0_nodes, rows)
         metrics = RoundMetrics()
-        merged, stats = unrestricted_path_merge(p0, p0_nodes, hanging, metrics)
+        merged, stats = unrestricted_path_merge(p0_nodes, p0, hanging, metrics)
         assert "unrestricted:low-connection" in metrics.phase_rounds
         assert "merge:path" in metrics.phase_rounds
         assert stats.final_instance_parts >= 1

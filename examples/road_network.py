@@ -36,8 +36,6 @@ def main() -> None:
     total = alg.rounds
     for phase, rounds in sorted(alg.metrics.phase_rounds.items(), key=lambda x: -x[1]):
         print(f"  {phase:32s} {rounds:7d}  ({100 * rounds / total:4.1f}%)")
-    print(f"\nmerge fallbacks: {alg.merge_fallbacks} "
-          "(0 = the compressed-interface machinery carried every merge)")
 
 
 if __name__ == "__main__":

@@ -27,8 +27,7 @@ def main() -> None:
 
     result = distributed_planar_embedding(graph)
     print(f"embedding computed in {result.rounds} CONGEST rounds "
-          f"(recursion depth {result.recursion_depth}, "
-          f"fallbacks {result.merge_fallbacks})")
+          f"(recursion depth {result.recursion_depth})")
 
     faces = result.rotation_system.faces()
     sizes = sorted((len(f) for f in faces), reverse=True)

@@ -87,12 +87,14 @@ code  meaning
 0     success — embedding computed (and certified, if asked)
 1     input not planar (a Kuratowski witness is printed);
       ``trace-diff``: traces diverge
-2     usage error (bad flags; a missing or malformed edge list,
-      ``--demo`` spec, ``--view-trace`` file or job file);
+2     usage error (bad flags; a missing, malformed, empty or
+      disconnected edge list, ``--demo`` spec, ``--view-trace``
+      file or job file);
       ``trace-diff``: unreadable trace
 3     the computed output was rejected — verification or
-      certification failed, or a tamper went undetected: an
-      algorithm bug, never the input's fault
+      certification failed, or a tamper went undetected — or the
+      run raised an internal error: an algorithm bug, never the
+      input's fault
 4     degraded result — the self-healing retry budget ran out
       under ``--faults`` before a certified embedding emerged
       (partial state and diagnosis are reported)
@@ -116,6 +118,7 @@ import json
 import math
 import sys
 import time
+import traceback
 
 from .core import NonPlanarNetworkError, DistributedPlanarEmbedding, trivial_baseline_embedding
 from .obs import CausalRecorder, FlightRecorder, Tracer, observe
@@ -310,6 +313,8 @@ def main(argv: list[str] | None = None) -> int:
         parser.error(f"cannot read edge list {args.edgelist!r}: {exc.strerror}")
     except ValueError as exc:
         parser.error(str(exc))
+    if not graph.num_nodes or not graph.is_connected():
+        parser.error("the network must be non-empty and connected")
     say(f"network: n={graph.num_nodes}, m={graph.num_edges}")
     certify = args.certify or args.certify_adversary
 
@@ -436,21 +441,6 @@ def main(argv: list[str] | None = None) -> int:
             )
             result = driver.run()
             say("algorithm: Theorem 1.1 distributed planar embedding")
-    except EmbeddingViolation as exc:
-        # The computed output failed the centralized referee: an
-        # algorithm bug, distinct from non-planar *input* (exit 1).
-        finish()
-        say(f"result: EMBEDDING REJECTED — {exc}")
-        if args.json:
-            print(json.dumps({
-                "type": "run-report",
-                "planar": None,
-                "accepted": False,
-                "n": graph.num_nodes,
-                "m": graph.num_edges,
-                "error": str(exc),
-            }))
-        return 3
     except NonPlanarNetworkError:
         wall_s = time.perf_counter() - t0
         profile_rows = finish()
@@ -480,6 +470,28 @@ def main(argv: list[str] | None = None) -> int:
         elif profile_rows is not None:
             _print_profile(say, profile_rows)
         return 1
+    except Exception as exc:  # noqa: BLE001 - every other failure is exit 3
+        # The computed output failed the centralized referee, or the run
+        # raised an internal error: an algorithm bug, distinct from
+        # non-planar *input* (exit 1).
+        finish()
+        if isinstance(exc, EmbeddingViolation):
+            error = str(exc)
+            say(f"result: EMBEDDING REJECTED — {error}")
+        else:
+            error = f"{type(exc).__name__}: {exc}"
+            traceback.print_exc()  # stderr: where the internal error arose
+            say(f"result: INTERNAL ERROR — {error}")
+        if args.json:
+            print(json.dumps({
+                "type": "run-report",
+                "planar": None,
+                "accepted": False,
+                "n": graph.num_nodes,
+                "m": graph.num_edges,
+                "error": error,
+            }))
+        return 3
     wall_s = time.perf_counter() - t0
     profile_rows = finish()
     causal_report = causal_recorder.report() if causal_recorder is not None else None

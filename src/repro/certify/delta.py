@@ -376,7 +376,6 @@ class DynamicCertifiedEmbedding:
         driver = DistributedPlanarEmbedding(
             self.graph,
             bandwidth_words=self.bandwidth_words,
-            verify=True,
             tracer=self.tracer,
             certify=False,
         )

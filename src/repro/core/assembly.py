@@ -29,12 +29,13 @@ splice has a single candidate, and it is planar by construction:
   enters its terminal's ring reversed, as one consecutive block;
 * an island fits any corner at its anchor, so every pendant goes into
   the corner after the anchor's first neighbor;
-* a two-terminal piece fits any pair of corners of one face, so it goes
-  into the first corners at ``i`` and ``j`` of the first face holding
-  both whose stubs all stay on one side of the piece (else of the first
-  face holding both).  The piece splits that face in two; a face whose
-  stubs it separated would leave the merged part's half-edges on two
-  faces, which no later merge can realize.
+* a two-terminal piece whose walk is one run of edges to ``i`` and one
+  to ``j`` (:func:`two_terminal_bundles`) fits any pair of corners of
+  one face, so it goes into the first corners at ``i`` and ``j`` of the
+  first face holding both whose stubs all stay on one side of the piece
+  (else of the first face holding both).  The piece splits that face in
+  two; a face whose stubs it separated would leave the merged part's
+  half-edges on two faces, which no later merge can realize.
 
 A splice that is not planar — possible only for parts that break those
 invariants — fails the final check with :class:`AssemblyError`.
@@ -53,6 +54,7 @@ __all__ = [
     "assemble",
     "expand_copies",
     "is_copy",
+    "two_terminal_bundles",
 ]
 
 
@@ -73,14 +75,13 @@ def _add_part(graph: Graph, part: PartEmbedding, bundle_edges: list[tuple]) -> N
         graph.add_edge(u, x)
 
 
-def _split_two_terminal(
+def two_terminal_bundles(
     part: PartEmbedding, i: NodeId, j: NodeId
-) -> tuple[list[NodeId], list[NodeId]]:
-    """Split the part's boundary walk into its i-bundle and j-bundle.
-
-    The walk must reach both terminals and be non-interleaved (i-edges
-    consecutive) — guaranteed when the part was realized against a
-    coordinator instance containing both terminals.
+) -> tuple[list[NodeId], list[NodeId]] | None:
+    """The part's i-bundle and j-bundle in boundary-walk order, or ``None``
+    unless the walk is one run of edges to ``i`` and one run to ``j``
+    (cyclically): the only walk a splice between ``i`` and ``j`` can
+    place.  The unrestricted merge discharges only parts whose walk is.
     """
     walk = part.boundary_order()
     targets = [x for _, x in walk]
@@ -90,12 +91,12 @@ def _split_two_terminal(
         None,
     )
     if start is None:
-        raise AssemblyError(f"two-terminal boundary walk does not reach both {i!r} and {j!r}")
+        return None
     rotated = walk[start:] + walk[:start]
     i_bundle = [u for u, x in rotated if x == i]
     j_bundle = [u for u, x in rotated if x == j]
     if [x for _, x in rotated] != [i] * len(i_bundle) + [j] * len(j_bundle):
-        raise AssemblyError("two-terminal boundary walk is interleaved")
+        return None
     return i_bundle, j_bundle
 
 
@@ -150,7 +151,13 @@ def assemble(
         order[anchor] = ring[:1] + inserted + ring[1:]
 
     for i, j, part in two_terminal:
-        i_bundle, j_bundle = _split_two_terminal(part, i, j)
+        bundles = two_terminal_bundles(part, i, j)
+        if bundles is None:
+            raise AssemblyError(
+                f"two-terminal boundary walk does not reach both {i!r} and {j!r}"
+                " in one run each"
+            )
+        i_bundle, j_bundle = bundles
         faces = trace_faces(RotationSystem(augment_with_stubs(graph, merged.boundary), order))
         holding = [f for f in faces if {i, j} <= {u for u, _ in f}]
         if not holding:

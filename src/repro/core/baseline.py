@@ -52,9 +52,7 @@ def _subtree_words(
     return totals
 
 
-def trivial_baseline_embedding(
-    graph: Graph, bandwidth_words: int = 1, verify: bool = True
-) -> EmbeddingResult:
+def trivial_baseline_embedding(graph: Graph, bandwidth_words: int = 1) -> EmbeddingResult:
     """Run the gather-and-solve baseline; same result type as the algorithm."""
     if graph.num_nodes == 0:
         raise ValueError("cannot embed an empty network")

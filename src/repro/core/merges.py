@@ -23,11 +23,12 @@ takes, i.e. in the round charge; the ``charge_*`` helpers compute those
 from measured part depths and payload sizes via the pipelined-cost
 formulas of :mod:`repro.congest.pipelining`.
 
-If skeleton-level solving ever produced an inconsistent assembly (it
-should not — the skeleton captures exactly the Observation 3.2 freedoms,
-and the test-suite checks this), the merge falls back to a direct
-re-embedding of the union, preserving end-to-end correctness; fallbacks
-are counted and reported by the benchmarks.
+On a safe partition (Definition 3.1) the coordinator's instance is
+planar exactly when the parts admit a planar arrangement (Observation
+3.2), so a non-planar instance is the verdict: :func:`merge_parts` raises
+:class:`NonPlanarNetworkError`.  Any other failure of the four steps
+(:class:`SkeletonError`, :class:`RealizationError`, :class:`RotationError`,
+:class:`EmbeddingViolation`) is an internal error and propagates as such.
 """
 
 from __future__ import annotations
@@ -40,20 +41,19 @@ from ..congest.pipelining import stream_rounds
 from ..planar.graph import Graph, NodeId, sort_key
 from ..planar.lr_planarity import NonPlanarGraphError, planar_embedding
 from ..planar.rotation import RotationError, RotationSystem, contracted_rotation
-from ..planar.verify import EmbeddingViolation, check_embedding_with_boundary
+from ..planar.verify import check_embedding_with_boundary
 from ..planar.biconnected import biconnected_components
-from .interface import SkeletonError, interface_skeleton, skeleton_edge_count
+from .interface import interface_skeleton, skeleton_edge_count
 from .parts import (
     HalfEdge,
     NonPlanarNetworkError,
     PartEmbedding,
     augment_with_stubs,
-    embed_with_boundary,
     graph_depth,
     is_stub,
     stub_node,
 )
-from .realize import RealizationError, realize_boundary_order
+from .realize import realize_boundary_order
 
 __all__ = [
     "MergeResult",
@@ -76,7 +76,6 @@ class MergeResult:
     down_words: dict[int, int] = field(default_factory=dict)
     part_depths: dict[int, int] = field(default_factory=dict)
     attachment_edges: dict[int, int] = field(default_factory=dict)  # parallel lanes per part
-    fallback_used: bool = False
 
     @property
     def total_up(self) -> int:
@@ -119,27 +118,14 @@ def _union_graph_and_boundary(
     return union, new_boundary, connecting
 
 
-def _fallback_merge(
-    parts: list[PartEmbedding],
-    union: Graph,
-    new_boundary: list[HalfEdge],
-) -> PartEmbedding:
-    """Correctness-preserving fallback: re-embed the union directly."""
-    rotation = embed_with_boundary(union, new_boundary)
-    return PartEmbedding(
-        part_id=min(p.part_id for p in parts),
-        graph=union,
-        boundary=new_boundary,
-        rotation=rotation,
-        depth=graph_depth(union),
-    )
-
-
 def merge_parts(parts: list[PartEmbedding]) -> MergeResult:
     """Merge ``parts`` (>= 1, mutually connected or not) into one part.
 
-    Raises :class:`NonPlanarNetworkError` when no planar arrangement
-    exists.  See the module docstring for the four-step information flow.
+    The partition must be safe (Definition 3.1): the network minus any
+    one part stays connected.  Raises :class:`NonPlanarNetworkError` when
+    the coordinator's instance is non-planar, i.e. no planar arrangement
+    exists.  An unsafe partition may fail any check of the module
+    docstring's four steps; the first that fails raises.
     """
     if not parts:
         raise ValueError("nothing to merge")
@@ -162,30 +148,7 @@ def merge_parts(parts: list[PartEmbedding]) -> MergeResult:
         )
         connecting_count[p.part_id] = max(1, lanes)
     result.attachment_edges = connecting_count
-
-    try:
-        merged = _skeleton_merge(parts, union, new_boundary, connecting, result)
-    except (SkeletonError, RealizationError, EmbeddingViolation, RotationError):
-        # RotationError: a part's out-darts split across faces of the
-        # instance embedding — impossible for partitions satisfying the
-        # safety property (the instance minus any skeleton is connected,
-        # so planarity forces all of a part's neighbors into one face),
-        # but reachable when callers hand us an unsafe partition.
-        merged = None
-    if merged is None:
-        # The skeleton instance was solvable only if the network is
-        # planar; distinguish genuine non-planarity from infidelity by
-        # attempting the direct union embedding.
-        try:
-            merged = _fallback_merge(parts, union, new_boundary)
-        except NonPlanarNetworkError:
-            raise NonPlanarNetworkError(
-                "merged parts admit no planar arrangement: the network is "
-                "non-planar, or the partition violates the safety property "
-                "(Definition 3.1)"
-            ) from None
-        result.fallback_used = True
-    result.part = merged
+    result.part = _skeleton_merge(parts, union, new_boundary, connecting, result)
     return result
 
 
@@ -236,8 +199,8 @@ def _skeleton_merge(
     new_boundary: list[HalfEdge],
     connecting: list[tuple[NodeId, NodeId]],
     result: MergeResult,
-) -> PartEmbedding | None:
-    """The faithful skeleton-based merge; ``None`` when verification fails."""
+) -> PartEmbedding:
+    """The skeleton-based merge: steps 1-4 of the module docstring."""
     skeletons = {}
     decompositions = {}
     faces = {}
@@ -273,7 +236,11 @@ def _skeleton_merge(
     try:
         instance_rotation = planar_embedding(instance)
     except NonPlanarGraphError:
-        return None  # resolved by the caller (fallback or non-planar)
+        raise NonPlanarNetworkError(
+            "merged parts admit no planar arrangement: the network is "
+            "non-planar, or the partition violates the safety property "
+            "(Definition 3.1)"
+        ) from None
 
     # Prescribe each part's boundary order from the instance arrangement.
     external_at: dict[NodeId, list[HalfEdge]] = {}

@@ -75,7 +75,8 @@ def realize_boundary_order(
     ``prescribed`` must be a permutation of the part's boundary.  Raises
     :class:`RealizationError` if the order is outside the part's
     interface (which, when the order came from a faithful skeleton,
-    indicates a bug — the merge layer treats it as a fallback trigger).
+    indicates a bug: :func:`~repro.core.merges.merge_parts` lets it
+    propagate as an internal error).
     ``decomposition`` lets a caller share one biconnected decomposition
     of ``part.graph`` with the part's skeleton, and ``face`` one trace of
     the part's outer face (the face of ``part.rotation`` holding its

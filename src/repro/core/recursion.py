@@ -258,7 +258,6 @@ def embed_subtree(
             )
             if merge_span is not None:
                 merge_span.attrs["final_instance_parts"] = merge_stats.final_instance_parts
-                merge_span.attrs["merge_fallbacks"] = merge_stats.merge_fallbacks
         if call_span is not None:
             call_span.attrs["splitter"] = splitter
             call_span.attrs["p0_length"] = len(p0_order)

@@ -27,7 +27,9 @@ six steps implemented here follow the paper's numbered algorithm:
 3. parts connected to exactly two ``P0`` vertices (and nothing else)
    compute their embedding and report to both;
 4-5. per ``(i, j)`` pair only the highest-ID such part stays; the rest
-   exit and are re-inserted at assembly in canonical ID order;
+   exit and are re-inserted at assembly in canonical ID order, except a
+   part whose boundary walk interleaves its edges to ``i`` and ``j``,
+   which no splice can place: it stays for the final merge;
 6. one restricted path-coordinated merge over ``P0`` and the surviving
    parts finishes the job.
 
@@ -48,7 +50,7 @@ from dataclasses import dataclass, field, replace
 from ..congest.metrics import RoundMetrics
 from ..planar.graph import Graph, NodeId
 from ..planar.rotation import RotationSystem
-from .assembly import assemble
+from .assembly import assemble, two_terminal_bundles
 from .merges import (
     MergeResult,
     charge_path_coordinated_merge,
@@ -88,7 +90,6 @@ class UnrestrictedMergeStats:
     parked_chain_parts: int = 0
     two_terminal_exited: int = 0
     final_instance_parts: int = 0
-    merge_fallbacks: int = 0
     symmetry_steps: list[int] = field(default_factory=list)
 
 
@@ -213,8 +214,6 @@ class _MergeDriver:
         for pid in old_ids:
             del self.active[pid]
         self.active[result.part.part_id] = result.part
-        if result.fallback_used:
-            self.stats.merge_fallbacks += 1
         return result.part.part_id
 
     def _part_adjacency(self, pids: list[int]) -> dict[int, set[int]]:
@@ -460,6 +459,13 @@ class _MergeDriver:
                 deliveries.append(part.depth + 2 * len(part.boundary) + 1)
                 if pid == keep:
                     continue
+                if two_terminal_bundles(part, i_vertex, j_vertex) is None:
+                    # Earlier merges fixed this walk with i and j inside
+                    # one *rest* vertex, and it interleaves them: no
+                    # splice can place it, so it stays for the final
+                    # merge, whose instance arranges it or rejects the
+                    # network.
+                    continue
                 self.exited.append((i_vertex, j_vertex, part))
                 del self.active[pid]
                 self.gone |= part.vertices
@@ -478,8 +484,6 @@ class _MergeDriver:
         ]
         self.stats.final_instance_parts = len(participants)
         result = merge_parts(participants)
-        if result.fallback_used:
-            self.stats.merge_fallbacks += 1
         charge_path_coordinated_merge(
             self.metrics,
             result,

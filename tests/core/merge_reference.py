@@ -36,7 +36,8 @@ def realize_boundary_order(
     ``prescribed`` must be a permutation of the part's boundary.  Raises
     :class:`RealizationError` if the order is outside the part's
     interface (which, when the order came from a faithful skeleton,
-    indicates a bug — the merge layer treats it as a fallback trigger).
+    indicates a bug: :func:`~repro.core.merges.merge_parts` lets it
+    propagate as an internal error).
     """
     if sorted(prescribed, key=sort_key) != sorted(part.boundary, key=sort_key):
         raise ValueError("prescribed order is not a permutation of the boundary")

@@ -73,9 +73,8 @@ class TestInsertTwoTerminal:
     def test_splice_keeps_the_merged_stubs_on_one_face(self, n, seed):
         """On these inputs the first face holding both terminals separates
         the merged part's stubs; spliced there, the next merge could not
-        read the part's boundary walk and re-embedded the union."""
+        read the part's boundary walk (a ``RotationError``)."""
         result = distributed_planar_embedding(random_planar(n, seed=seed))
-        assert result.merge_fallbacks == 0
         embedding = nx.PlanarEmbedding()
         embedding.set_data({v: list(ring) for v, ring in result.rotation.items()})
         embedding.check_structure()

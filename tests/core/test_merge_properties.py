@@ -3,8 +3,9 @@
 The central correctness property of the merge engine: splitting any
 connected planar graph into connected parts, embedding each with its
 half-embedded edges co-facial, and merging must reproduce a planar
-embedding of the whole — via the skeleton path, without fallbacks.
-Also exercises the correctness fallback by sabotaging the skeleton.
+embedding of the whole.  A non-planar coordinator instance is the
+non-planarity verdict, and a sabotaged skeleton surfaces as the internal
+error it is: there is no second merge algorithm to mask it.
 """
 
 import random
@@ -72,13 +73,11 @@ def test_split_and_merge_roundtrip(n, graph_seed, split_seed):
     assert merged.vertices == set(g.nodes())
     assert merged.boundary == []
     assert merged.rotation.genus() == 0
-    assert not result.fallback_used
     assert merged.graph.num_edges == g.num_edges
 
 
-def test_fallback_engages_on_skeleton_sabotage(monkeypatch):
-    """If the skeleton layer misbehaves, the merge must still succeed
-    through the direct re-embedding fallback and report it."""
+def test_sabotaged_skeleton_raises_out_of_merge_parts(monkeypatch):
+    """A skeleton failure is an internal error: it propagates."""
 
     def broken_skeleton(part, decomposition=None):
         raise SkeletonError("sabotaged for testing")
@@ -87,23 +86,19 @@ def test_fallback_engages_on_skeleton_sabotage(monkeypatch):
     g = grid_graph(3, 4)
     top = {0, 1, 2, 3}
     bottom = set(g.nodes()) - top
-    result = merge_parts([part_of(g, top), part_of(g, bottom)])
-    assert result.fallback_used
-    assert result.part.rotation.genus() == 0
-    assert result.part.vertices == set(g.nodes())
+    with pytest.raises(SkeletonError, match="sabotaged"):
+        merge_parts([part_of(g, top), part_of(g, bottom)])
 
 
-def test_fallback_still_detects_nonplanar(monkeypatch):
+def test_k5_in_two_parts_is_rejected_by_the_instance():
+    """K5 split into {0, 1} and {2, 3, 4}: the coordinator's instance is
+    non-planar, and that is the verdict (the message is the instance's)."""
     from repro.core import NonPlanarNetworkError
     from repro.planar.generators import complete_graph
 
-    def broken_skeleton(part, decomposition=None):
-        raise SkeletonError("sabotaged for testing")
-
-    monkeypatch.setattr(merges_module, "interface_skeleton", broken_skeleton)
     g = complete_graph(5)
     parts = [part_of(g, {0, 1}), part_of(g, {2, 3, 4})]
-    with pytest.raises(NonPlanarNetworkError):
+    with pytest.raises(NonPlanarNetworkError, match="admit no planar arrangement"):
         merge_parts(parts)
 
 
@@ -137,4 +132,3 @@ def test_three_way_split_and_merge(n, graph_seed, split_seed):
     result = merge_parts(parts)
     assert result.part.rotation.genus() == 0
     assert result.part.vertices == set(g.nodes())
-    assert not result.fallback_used

@@ -36,7 +36,6 @@ class TestPairwise:
         merged = result.part
         assert merged.vertices == set(g.nodes())
         assert merged.boundary == []
-        assert not result.fallback_used
         assert merged.rotation.genus() == 0
 
     def test_merged_graph_has_connecting_edges(self):

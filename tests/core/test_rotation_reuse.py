@@ -312,10 +312,10 @@ def test_each_merge_traces_each_part_face_once(monkeypatch):
 
 
 
-def test_a_part_with_split_stubs_falls_back():
+def test_a_part_with_split_stubs_raises():
     """Stubs on two faces leave no boundary walk: the word count raises
-    where it reads the part's outer face, and the merge re-embeds the
-    union."""
+    where it reads the part's outer face, and the merge lets that
+    ``RotationError`` propagate."""
     part = fresh_part(cycle_graph(4), [(0, "x"), (2, "y")])
     order = part.rotation.as_dict()
     order[2] = order[2][::-1]  # the stub moves to the other face
@@ -326,4 +326,5 @@ def test_a_part_with_split_stubs_falls_back():
     with pytest.raises(RotationError):
         merges_module._reduced_summary_words(split, connecting, split.outer_face())
     other = fresh_part(Graph(edges=[("x", "y")]), [("x", 0), ("y", 2)])
-    assert merge_parts([split, other]).fallback_used
+    with pytest.raises(RotationError, match="boundary walk visited"):
+        merge_parts([split, other])

@@ -78,9 +78,3 @@ class TestKnobs:
             for b in (1, 2, 4, 8)
         ]
         assert all(a >= b for a, b in zip(rounds, rounds[1:]))
-
-    def test_verify_flag_does_not_change_output(self):
-        g = random_maximal_planar(30, 5)
-        a = DistributedPlanarEmbedding(g, verify=True).run()
-        b = DistributedPlanarEmbedding(g, verify=False).run()
-        assert a.rotation == b.rotation

@@ -131,13 +131,6 @@ class TestPaperInvariants:
         base = trivial_baseline_embedding(g)
         assert alg.rounds < base.rounds
 
-    def test_merge_fallbacks_absent(self):
-        # The skeleton machinery should carry every family without the
-        # correctness fallback.
-        for g in (grid_graph(6, 6), cylinder_graph(4, 8), random_maximal_planar(50, 3)):
-            result = distributed_planar_embedding(g)
-            assert result.merge_fallbacks == 0
-
 
 class TestAgainstNetworkxOracle:
     @pytest.mark.parametrize("seed", range(12))

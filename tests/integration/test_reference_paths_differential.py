@@ -127,12 +127,7 @@ def _fingerprint(result):
                 r.p0_length,
                 repr(r.splitter),
                 tuple(r.part_sizes),
-                None
-                if r.merge_stats is None
-                else (
-                    r.merge_stats.final_instance_parts,
-                    r.merge_stats.merge_fallbacks,
-                ),
+                None if r.merge_stats is None else r.merge_stats.final_instance_parts,
             )
             for r in result.trace
         ],

@@ -7,9 +7,31 @@ import pytest
 from repro import distributed_planar_embedding
 from repro.__main__ import load_edgelist, main
 from repro.analysis import load_trace
+from repro.core.assembly import AssemblyError
 from repro.obs import load_flight
 from repro.obs.flightrec import DRIVER_LANE
 from repro.planar.generators import grid_graph
+from repro.planar.verify import EmbeddingViolation
+
+# Both exit 3: the referee rejecting the output, and an internal error
+# of the run (a tree's pendants go through assembly).
+INJECTED_FAILURES = [
+    ("repro.core.algorithm.verify_planar_embedding", EmbeddingViolation,
+     "result: EMBEDDING REJECTED — injected failure"),
+    ("repro.core.unrestricted.assemble", AssemblyError,
+     "result: INTERNAL ERROR — AssemblyError: injected failure"),
+]
+
+
+def run_failing(monkeypatch, target, error, flags):
+    """``--demo tree 40 <flags>`` with ``target`` raising ``error``."""
+
+    def fail(*args, **kwargs):
+        raise error("injected failure")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(target, fail)
+        return main(["--demo", "tree", "40", *flags])
 
 
 def test_demo_grid(capsys):
@@ -77,7 +99,10 @@ def test_unknown_demo_family():
     assert exc.value.code == 2
 
 
-@pytest.mark.parametrize("case", ["missing-file", "mixed-ids", "non-integer-demo", "bad-trace"])
+@pytest.mark.parametrize(
+    "case",
+    ["missing-file", "mixed-ids", "non-integer-demo", "bad-trace", "empty", "disconnected"],
+)
 def test_malformed_input_is_usage_error(case, tmp_path, capsys):
     """Exit 1 means "not planar"; input the CLI cannot read exits 2."""
     f = tmp_path / "input.txt"
@@ -85,9 +110,15 @@ def test_malformed_input_is_usage_error(case, tmp_path, capsys):
         f.write_text("a 1\n1 2\n2 a\n")
     elif case == "bad-trace":
         f.write_text("this is not a trace\n")
+    elif case == "empty":
+        f.write_text("# no edges\n")
+    elif case == "disconnected":
+        f.write_text("0 1\n2 3\n")
     argv = {
         "missing-file": [str(tmp_path / "nosuch.txt")],
         "mixed-ids": [str(f)],
+        "empty": [str(f)],
+        "disconnected": [str(f)],
         "non-integer-demo": ["--demo", "grid", "x", "3"],
         "bad-trace": ["--view-trace", str(f)],
     }[case]
@@ -143,34 +174,19 @@ class TestCertification:
         assert report["tamper_suite"]["all_detected"] is True
 
     def test_rejected_embedding_exits_three(self, monkeypatch, capsys):
-        from repro.planar.verify import EmbeddingViolation
-
-        def always_reject(graph, order):
-            raise EmbeddingViolation("injected failure")
-
-        monkeypatch.setattr(
-            "repro.core.algorithm.verify_planar_embedding", always_reject
-        )
-        code = main(["--demo", "grid", "3", "3", "--quiet"])
-        out = capsys.readouterr().out
-        assert code == 3
-        assert "EMBEDDING REJECTED" in out
-        assert "injected failure" in out
+        for target, error, line in INJECTED_FAILURES:
+            code = run_failing(monkeypatch, target, error, ["--quiet"])
+            out = capsys.readouterr().out
+            assert code == 3, error
+            assert line in out
 
     def test_rejected_embedding_json_exits_three(self, monkeypatch, capsys):
-        from repro.planar.verify import EmbeddingViolation
-
-        def always_reject(graph, order):
-            raise EmbeddingViolation("injected failure")
-
-        monkeypatch.setattr(
-            "repro.core.algorithm.verify_planar_embedding", always_reject
-        )
-        code = main(["--demo", "grid", "3", "3", "--json"])
-        report = json.loads(capsys.readouterr().out)
-        assert code == 3
-        assert report["accepted"] is False
-        assert "injected failure" in report["error"]
+        for target, error, _ in INJECTED_FAILURES:
+            code = run_failing(monkeypatch, target, error, ["--json"])
+            report = json.loads(capsys.readouterr().out)
+            assert code == 3, error
+            assert report["planar"] is None and report["accepted"] is False
+            assert "injected failure" in report["error"]
 
 
 class TestFaults:
@@ -364,8 +380,6 @@ class TestTracing:
             f.write_text("\n".join(f"{i} {j}" for i in range(5) for j in range(i + 1, 5)))
             source = [str(f)]
         else:
-            from repro.planar.verify import EmbeddingViolation
-
             def always_reject(graph, order):
                 raise EmbeddingViolation("injected failure")
 

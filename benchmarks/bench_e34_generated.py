@@ -6,7 +6,9 @@ every fourth one certified) and 30 per non-planar family (two families,
 n = 20, 24, .., 136).  Each planar input must pass
 :func:`~tests.integration.generated.check_planar_input` (networkx-valid
 output, Lemma 4.2 part sizes and P0 length, Lemma 4.3 depth, rounds at
-most 120 n, certification accepted) and each non-planar one
+most 120 n, certification accepted) and
+:func:`~tests.integration.generated.check_theorem_bound` (Theorem 1.1's
+``rounds <= 16 D~ min(log2 n, D~)``), and each non-planar one
 :func:`~tests.integration.generated.check_nonplanar_input` (a
 ``NonPlanarNetworkError`` and an edge-minimal K5 or K3,3 witness inside
 the input).  Tier-1's property tests draw the same families at
@@ -24,6 +26,8 @@ from tests.integration.generated import (
     build,
     check_nonplanar_input,
     check_planar_input,
+    check_theorem_bound,
+    theorem_ratio,
 )
 
 PLANAR_SEEDS = range(40)
@@ -50,11 +54,12 @@ def run_experiment(report=None):
     rows = {}
     failures = []
     for family, seed, _, certify, graph in planar_corpus():
-        row = rows.setdefault(family, [family, 0, 0, 0, 0.0, 0.0])
+        row = rows.setdefault(family, [family, 0, 0, 0, 0.0, 0.0, 0.0])
         n = graph.num_nodes
         t0 = time.perf_counter()
         try:
             result = check_planar_input(graph, certify=certify)
+            check_theorem_bound(result)
         except Exception as exc:  # noqa: BLE001 - every failure is reported
             failures.append((family, seed, f"{type(exc).__name__}: {exc}"))
             continue
@@ -64,13 +69,15 @@ def run_experiment(report=None):
         row[3] = max(row[3], result.recursion_depth)
         row[4] = max(row[4], round(result.rounds / n, 1))
         row[5] = max(row[5], round(result.recursion_depth / (math.log(max(n, 2), 1.5) + 2), 2))
+        row[6] = max(row[6], round(theorem_ratio(result), 2))
         if report is not None:
             report.record_run(
                 graph, result, wall, family=family, seed=seed, certified=certify,
                 recursion_depth=result.recursion_depth,
             )
     print_table(
-        ["family", "passed", "certified", "max depth", "max rounds/n", "max depth/bound"],
+        ["family", "passed", "certified", "max depth", "max rounds/n", "max depth/bound",
+         "max rounds/(D~ min(log n, D~))"],
         list(rows.values()),
         title=f"E34: {len(PLANAR_SEEDS)} generated planar inputs per family",
     )

@@ -18,7 +18,7 @@ from repro.planar import Graph
 
 def audit_partitions(graph):
     """Walk the recursion's partitioning and audit safety at each call."""
-    wrapped = _wrap(graph)
+    wrapped, _ids = _wrap(graph)
     leader = elect_leader(wrapped)
     tree = build_bfs_tree(wrapped, leader)
     checked = 0

@@ -1,7 +1,9 @@
 """The distributed planar embedding algorithm (paper Theorem 1.1).
 
 ``DistributedPlanarEmbedding`` drives the whole pipeline on a CONGEST
-simulation of the input network:
+simulation of the input network.  The network runs on the ranks of the
+node IDs in sorted order (ints ``0..n-1``), so every ID is one CONGEST
+word whatever its form (paper Section 2):
 
 1. elect the max-ID vertex ``s*`` by real max-ID flooding (O(D) rounds);
 2. build the global BFS tree ``T`` rooted at ``s*`` (O(D) rounds) — this
@@ -10,7 +12,8 @@ simulation of the input network:
 3. run the recursive embedding order of Section 4 over ``T``'s subtrees,
    with the Section 5 merges; round costs are real where primitives run
    as node programs and exact pipelined charges elsewhere (DESIGN.md §3);
-4. expand the split-off copies back into their primaries and unwrap;
+4. expand the split-off copies back into their primaries and map the
+   ranks back to the IDs;
 5. verify the result: the per-vertex clockwise orders must form a genus-0
    rotation system of the *original* graph.
 
@@ -222,13 +225,29 @@ class DegradedResult:
         return report
 
 
-def _wrap(graph: Graph) -> Graph:
-    wrapped = Graph()
-    for v in graph.nodes():
-        wrapped.add_node(("v", v))
+def check_network(graph: Graph) -> None:
+    """Reject a network the pipeline cannot run on: empty, disconnected,
+    or with two node IDs that cannot be compared, so cannot be ranked."""
+    if graph.num_nodes == 0:
+        raise ValueError("cannot embed an empty network")
+    if not graph.is_connected():
+        raise ValueError("the network must be connected")
+    try:
+        sorted(graph)
+    except TypeError as exc:
+        raise ValueError(f"node IDs must be mutually comparable to be ranked: {exc}") from None
+
+
+def _wrap(graph: Graph) -> tuple[Graph, list[NodeId]]:
+    """The network on ranks: the node with ID ``ids[r]`` becomes the int
+    ``r``, so every ID is one CONGEST word and the max-ID node keeps the
+    max rank.  Map a rank back to its ID with ``ids[r]``."""
+    ids = sorted(graph)
+    rank = {v: r for r, v in enumerate(ids)}
+    ranked = Graph(nodes=[rank[v] for v in graph])
     for u, v in graph.edges():
-        wrapped.add_edge(("v", u), ("v", v))
-    return wrapped
+        ranked.add_edge(rank[u], rank[v])
+    return ranked, ids
 
 
 class DistributedPlanarEmbedding:
@@ -258,10 +277,7 @@ class DistributedPlanarEmbedding:
         :func:`repro.obs.observe` around :meth:`run` records every
         network the run creates; its critical-path report lands on
         ``EmbeddingResult.causal``."""
-        if graph.num_nodes == 0:
-            raise ValueError("cannot embed an empty network")
-        if not graph.is_connected():
-            raise ValueError("the network must be connected")
+        check_network(graph)
         check_splitter_strategy(splitter_strategy)
         self.graph = graph
         self.bandwidth_words = bandwidth_words
@@ -332,23 +348,23 @@ class DistributedPlanarEmbedding:
                 leader=v,
             )
 
-        wrapped = _wrap(graph)
+        ranked, ids = _wrap(graph)
 
         # Phase 1-2: leader election + BFS, as real node programs; then
         # the Section 2 preamble — every node learns n and a
         # 2-approximation of D by one convergecast + one broadcast.
         with maybe_span(tracer, "leader-election", kind="phase"):
-            leader = elect_leader(wrapped, metrics=metrics)
+            leader = elect_leader(ranked, metrics=metrics)
         with maybe_span(tracer, "bfs", kind="phase") as bfs_span:
-            tree: BfsTree = build_bfs_tree(wrapped, leader, metrics=metrics)
+            tree: BfsTree = build_bfs_tree(ranked, leader, metrics=metrics)
             if bfs_span is not None:
                 bfs_span.attrs["depth"] = tree.depth
         with maybe_span(tracer, "preamble", kind="phase"):
-            known_n, known_ecc = self._preamble(wrapped, tree, metrics)
+            known_n, known_ecc = self._preamble(ranked, tree, metrics)
 
         # Phase 3: the recursive embedding order.
         ctx = RecursionContext(
-            graph=wrapped,
+            graph=ranked,
             tree=tree,
             bandwidth=self.bandwidth_words,
             splitter_strategy=self.splitter_strategy,
@@ -360,16 +376,16 @@ class DistributedPlanarEmbedding:
         if part.boundary:  # pragma: no cover - invariant
             raise AssertionError("top-level part still has half-embedded edges")
 
-        # Phase 4: contract split-off copies, unwrap to original IDs.
+        # Phase 4: contract split-off copies, map ranks back to IDs.
         final_graph, final_order = expand_copies(
             part.graph, part.internal_rotations()
         )
-        expected = {edge_id(u, v) for u, v in wrapped.edges()}
+        expected = {edge_id(u, v) for u, v in ranked.edges()}
         got = {edge_id(u, v) for u, v in final_graph.edges()}
         if expected != got:  # pragma: no cover - invariant
             raise AssertionError("copy expansion did not restore the network")
         rotation = {
-            v[1]: tuple(u[1] for u in final_order[v]) for v in final_graph.nodes()
+            ids[v]: tuple(ids[u] for u in final_order[v]) for v in final_graph.nodes()
         }
 
         # Phase 5: verification (Edmonds/Euler referee).
@@ -381,7 +397,7 @@ class DistributedPlanarEmbedding:
             rotation_system=system,
             metrics=metrics,
             trace=ctx.trace,
-            leader=leader[1],
+            leader=ids[leader],
             bfs_depth=tree.depth,
             known_n=known_n,
             diameter_upper=2 * known_ecc,
@@ -392,7 +408,7 @@ class DistributedPlanarEmbedding:
 
     @staticmethod
     def _preamble(
-        wrapped: Graph, tree: BfsTree, metrics: RoundMetrics
+        ranked: Graph, tree: BfsTree, metrics: RoundMetrics
     ) -> tuple[int, int]:
         """Section 2: all nodes learn n and ecc(s*) (so D <= 2*ecc)."""
 
@@ -402,17 +418,17 @@ class DistributedPlanarEmbedding:
                     1 + max((h for _, h in items[1:]), default=-1))
 
         results = tree_aggregate(
-            wrapped,
+            ranked,
             tree.parent,
             tree.children,
-            {v: (1, 0) for v in wrapped.nodes()},
+            {v: (1, 0) for v in ranked.nodes()},
             combine,
             metrics=metrics,
             phase="preamble",
         )
         n, ecc = results[tree.root][0]
         tree_broadcast(
-            wrapped, tree.parent, tree.children, (n, ecc),
+            ranked, tree.parent, tree.children, (n, ecc),
             metrics=metrics, phase="preamble",
         )
         return n, ecc

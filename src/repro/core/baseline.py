@@ -29,7 +29,7 @@ from ..planar.lr_planarity import NonPlanarGraphError, planar_embedding
 from ..planar.rotation import RotationSystem
 from ..primitives.bfs import build_bfs_tree
 from ..primitives.leader import elect_leader
-from .algorithm import EmbeddingResult, _wrap
+from .algorithm import EmbeddingResult, _wrap, check_network
 from .parts import NonPlanarNetworkError
 
 __all__ = ["trivial_baseline_embedding"]
@@ -54,10 +54,7 @@ def _subtree_words(
 
 def trivial_baseline_embedding(graph: Graph, bandwidth_words: int = 1) -> EmbeddingResult:
     """Run the gather-and-solve baseline; same result type as the algorithm."""
-    if graph.num_nodes == 0:
-        raise ValueError("cannot embed an empty network")
-    if not graph.is_connected():
-        raise ValueError("the network must be connected")
+    check_network(graph)
     metrics = RoundMetrics()
     if graph.num_nodes == 1:
         (v,) = graph.nodes()
@@ -70,12 +67,12 @@ def trivial_baseline_embedding(graph: Graph, bandwidth_words: int = 1) -> Embedd
             leader=v,
         )
 
-    wrapped = _wrap(graph)
-    leader = elect_leader(wrapped, metrics=metrics)
-    tree = build_bfs_tree(wrapped, leader, metrics=metrics)
+    ranked, ids = _wrap(graph)
+    leader = elect_leader(ranked, metrics=metrics)
+    tree = build_bfs_tree(ranked, leader, metrics=metrics)
 
     # Gather: each node contributes its ID plus neighbor list.
-    words_of = {v: 1 + wrapped.degree(v) for v in wrapped.nodes()}
+    words_of = {v: 1 + ranked.degree(v) for v in ranked.nodes()}
     totals = _subtree_words(tree.children, words_of, leader)
     bottleneck = max(
         (totals[c] for c in tree.children.get(leader, ())), default=0
@@ -109,6 +106,6 @@ def trivial_baseline_embedding(graph: Graph, bandwidth_words: int = 1) -> Embedd
         rotation=rotation,
         rotation_system=system,
         metrics=metrics,
-        leader=leader[1],
+        leader=ids[leader],
         bfs_depth=tree.depth,
     )

@@ -3,7 +3,7 @@
 Each ``embed_subtree`` call needs its subtree's node set (sorted in the
 library's canonical ``repr`` order), its size and depth, and the child
 lists of its vertices.  Recomputing those per call walks the subtree
-twice and re-sorts wrapped node tuples by ``repr`` — an O(n log n)
+twice and re-sorts its nodes (int ranks) by ``repr`` — an O(n log n)
 *central bookkeeping* cost per call that the CONGEST ledger never sees,
 because the real distributed work (the subtree-stats convergecast and
 the splitter token walk) is charged separately and stays untouched.
@@ -29,7 +29,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..planar.graph import NodeId, sort_key
+from ..planar.graph import NodeId
 from ..primitives.bfs import BfsTree
 
 __all__ = ["RecursionIndex"]
@@ -71,7 +71,7 @@ class RecursionIndex:
                 stack.append((v, True))
                 for c in reversed(children.get(v, ())):
                     stack.append((c, False))
-        rank = {v: i for i, v in enumerate(sorted(order, key=sort_key))}
+        rank = {v: i for i, v in enumerate(sorted(order, key=repr))}
         return cls(
             order=order,
             tin=tin,

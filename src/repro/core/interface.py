@@ -32,7 +32,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ..planar.biconnected import BiconnectedDecomposition, biconnected_components
-from ..planar.graph import Graph, NodeId, sort_key
+from ..planar.graph import Graph, NodeId
 from ..planar.lr_planarity import NonPlanarGraphError, planar_embedding
 from .parts import PartEmbedding
 
@@ -225,11 +225,11 @@ def interface_skeleton(
         decomposition = biconnected_components(part.graph)
     attachment_set = set(attachments)
     steiner, relevant_in = _steiner(attachment_set, decomposition)
-    for node in sorted(steiner, key=sort_key):
+    for node in sorted(steiner, key=repr):
         kind, key = node
         if kind != "block":
             continue
-        relevant = sorted(relevant_in[key], key=sort_key)
+        relevant = sorted(relevant_in[key], key=repr)
         if len(relevant) <= 1:
             for v in relevant:
                 skeleton.add_node(v)
@@ -240,7 +240,7 @@ def interface_skeleton(
         else:
             block_graph = Graph()
             edges = decomposition.component_by_id[key].edges
-            for u, v in sorted(edges, key=sort_key):
+            for u, v in sorted(edges, key=repr):
                 block_graph.add_edge(u, v)
             order = block_attachment_order(block_graph, relevant)
         anchors.update(order)

@@ -38,7 +38,7 @@ from dataclasses import dataclass, field
 
 from ..congest.metrics import RoundMetrics
 from ..congest.pipelining import stream_rounds
-from ..planar.graph import Graph, NodeId, sort_key
+from ..planar.graph import Graph, NodeId
 from ..planar.lr_planarity import NonPlanarGraphError, planar_embedding
 from ..planar.rotation import RotationError, RotationSystem, contracted_rotation
 from ..planar.verify import check_embedding_with_boundary
@@ -108,7 +108,7 @@ def _union_graph_and_boundary(
     for p in parts:
         for u, x in p.boundary:
             if x in owner:
-                key = (u, x) if sort_key(u) < sort_key(x) else (x, u)
+                key = (u, x) if repr(u) < repr(x) else (x, u)
                 if key not in seen:
                     seen.add(key)
                     connecting.append(key)
@@ -228,7 +228,7 @@ def _skeleton_merge(
             instance.add_edge(u, v)
     for u, x in connecting:
         instance.add_edge(u, x)
-    external_attachments = sorted({u for u, _ in new_boundary}, key=sort_key)
+    external_attachments = sorted({u for u, _ in new_boundary}, key=repr)
     if external_attachments:
         instance.add_node(_REST)
         for u in external_attachments:
@@ -247,7 +247,7 @@ def _skeleton_merge(
     for u, x in new_boundary:
         external_at.setdefault(u, []).append((u, x))
     for u in external_at:
-        external_at[u].sort(key=sort_key)
+        external_at[u].sort(key=repr)
 
     merged_order: dict[NodeId, tuple] = {}
     for p in parts:

@@ -17,7 +17,7 @@ from .biconnected import (
     biconnected_components,
 )
 from .dual import DualGraph, dual_graph
-from .graph import EdgeId, Graph, GraphError, NodeId, edge_id, sort_key
+from .graph import EdgeId, Graph, GraphError, NodeId, edge_id, precedes
 from .kuratowski import classify_kuratowski, kuratowski_subgraph
 from .lr_planarity import (
     NonPlanarGraphError,
@@ -49,7 +49,7 @@ __all__ = [
     "NodeId",
     "EdgeId",
     "edge_id",
-    "sort_key",
+    "precedes",
     "RotationSystem",
     "RotationError",
     "trace_faces",

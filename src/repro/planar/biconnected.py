@@ -15,8 +15,9 @@ implemented iteratively.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import reduce
 
-from .graph import EdgeId, Graph, NodeId, edge_id
+from .graph import EdgeId, Graph, NodeId, edge_id, precedes
 
 __all__ = [
     "BiconnectedComponent",
@@ -89,8 +90,8 @@ def biconnected_components(graph: Graph) -> BiconnectedDecomposition:
         vertices = frozenset(v for e in edges for v in e)
         try:
             cid = min(eids)
-        except TypeError:  # mixed real/pseudo vertex types
-            cid = min(eids, key=repr)
+        except TypeError:  # real and pseudo vertices
+            cid = reduce(lambda a, b: b if precedes(b, a) else a, eids)
         component = BiconnectedComponent(cid, eids, vertices)
         decomposition.components.append(component)
         decomposition.component_by_id[cid] = component

@@ -22,55 +22,53 @@ from typing import TypeAlias
 NodeId: TypeAlias = Hashable
 EdgeId: TypeAlias = tuple
 
-__all__ = ["Graph", "NodeId", "EdgeId", "edge_id", "sort_key", "GraphError"]
+__all__ = ["Graph", "NodeId", "EdgeId", "edge_id", "precedes", "GraphError"]
 
 
 class GraphError(ValueError):
     """Raised on structurally invalid graph operations."""
 
 
-_SORT_KEY_CACHE: dict = {}
-_SORT_KEY_MAX_ENTRIES = 1 << 16
+def precedes(a: object, b: object) -> bool:
+    """Whether ``a`` orders before ``b``, real and pseudo vertices mixed.
 
-
-def sort_key(node: NodeId) -> str:
-    """Canonical deterministic ordering key for nodes: cached ``repr``.
-
-    ``sorted(nodes, key=sort_key)`` produces exactly the same order as
-    ``sorted(nodes, key=repr)`` — the library-wide convention for
-    ordering mixed real/pseudo vertices — but amortizes the string
-    construction, which dominates the cost on the wrapped ``("v", id)``
-    tuples used throughout the pipeline.  The cache is bounded (cleared
-    when full) and falls back to an uncached ``repr`` for unhashable
-    nodes.
+    The embedding pipeline runs on int ranks (real vertices) and tuple
+    pseudo-vertices such as half-edge stubs, split-off copies and hubs,
+    which Python cannot compare with each other.  Here a tuple orders
+    before every non-tuple, and two tuples compare item by item under
+    the same rule; other values compare naturally, or by ``repr`` when
+    they cannot be compared (ints mixed with strings, complex numbers),
+    so every graph still gets canonical edge IDs.  Edge IDs, tuples of
+    nodes, order the same way.
     """
+    a_is_tuple = a.__class__ is tuple
+    if a_is_tuple is not (b.__class__ is tuple):
+        return a_is_tuple
+    if a_is_tuple:
+        for x, y in zip(a, b):
+            if x != y:
+                return precedes(x, y)
+        return len(a) < len(b)
     try:
-        key = _SORT_KEY_CACHE.get(node)
-    except TypeError:  # unhashable node: measure directly
-        return repr(node)
-    if key is None:
-        key = repr(node)
-        if len(_SORT_KEY_CACHE) >= _SORT_KEY_MAX_ENTRIES:
-            _SORT_KEY_CACHE.clear()
-        _SORT_KEY_CACHE[node] = key
-    return key
+        return a < b
+    except TypeError:
+        return repr(a) < repr(b)
 
 
 def edge_id(u: NodeId, v: NodeId) -> EdgeId:
     """Return the canonical identifier of the undirected edge ``{u, v}``.
 
     Per the paper's footnote 5 the identifier is the ordered pair of the
-    endpoint identifiers, smaller first.  When endpoint types are not
-    mutually comparable (real vertices vs. pseudo-vertices such as
-    half-edge stubs), the deterministic ``repr`` order substitutes — the
-    convention only needs to be canonical, not numeric.
+    endpoint identifiers, smaller first.  When the endpoints cannot be
+    compared (a real vertex and a pseudo-vertex, or two pseudo-vertices
+    holding one of each at the same position), :func:`precedes` decides.
     """
     if u == v:
         raise GraphError(f"self-loops are not allowed: {u!r}")
     try:
         return (u, v) if u < v else (v, u)
     except TypeError:
-        return (u, v) if repr(u) < repr(v) else (v, u)
+        return (u, v) if precedes(u, v) else (v, u)
 
 
 class Graph:
@@ -159,14 +157,13 @@ class Graph:
 
     def edges(self) -> list[tuple[NodeId, NodeId]]:
         """Each undirected edge once, as its canonical ``edge_id`` pair."""
-        seen: set[EdgeId] = set()
+        done: set[NodeId] = set()  # nodes whose edges are all listed
         result: list[tuple[NodeId, NodeId]] = []
         for u, nbrs in self._adj.items():
             for v in nbrs:
-                eid = edge_id(u, v)
-                if eid not in seen:
-                    seen.add(eid)
-                    result.append(eid)
+                if v not in done:
+                    result.append(edge_id(u, v))
+            done.add(u)
         return result
 
     def has_edge(self, u: NodeId, v: NodeId) -> bool:

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from collections.abc import Iterable, Mapping, Sequence
 
-from .graph import Graph, NodeId, sort_key
+from .graph import Graph, NodeId
 
 __all__ = [
     "RotationSystem",
@@ -268,7 +268,7 @@ def contracted_rotation(
     graph = rotation.graph
     start = None
     total_out = 0
-    for u in sorted(inside, key=sort_key):
+    for u in sorted(inside, key=repr):
         for x in graph.neighbors(u):
             if x not in inside:
                 total_out += 1

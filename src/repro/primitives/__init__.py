@@ -15,7 +15,6 @@ from .coloring import (
     mis_from_coloring,
 )
 from .leader import MaxIdFloodProgram, elect_leader
-from .orientation import SparseOrientation, neighborhood_views, peel_orientation
 from .splitter import SplitterWalkProgram, find_splitter, splitter_components
 from .subtree import SubtreeStats, compute_subtree_stats
 
@@ -40,7 +39,4 @@ __all__ = [
     "mis_from_coloring",
     "is_proper_coloring",
     "log_star",
-    "peel_orientation",
-    "neighborhood_views",
-    "SparseOrientation",
 ]

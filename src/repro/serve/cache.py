@@ -13,9 +13,12 @@ one key:
     **bit-identical** to what a cold run of the code that wrote the
     record would produce (the whole pipeline is deterministic given the
     adjacency structure; the E16/E15 differential suites are the
-    standing proof).  A store written by an older version serves that
-    version's rotation, which is still a valid planar embedding: E32
-    changed output rotations, not ledgers.
+    standing proof).  Every record carries the :data:`RESULT_VERSION`
+    of the code that wrote it, and only records of the current one are
+    served, by either tier: a record an older version wrote still loads
+    (legacy v1 lines included), but a lookup passes it over (the job
+    recomputes, a counted miss), the fresh verdict replaces it, and
+    ``repro cache-compact`` drops it.
 
 **canonical** — no exact match, but the query's WL refinement is
     *discrete* (all vertex colors distinct) and a stored entry kept its
@@ -64,10 +67,17 @@ __all__ = [
     "CacheStats",
     "ResultCache",
     "CACHE_SCHEMA_VERSION",
+    "RESULT_VERSION",
     "compact_store",
 ]
 
 CACHE_SCHEMA_VERSION = 2
+
+#: Bumped whenever a cold run can give a different verdict for the same
+#: job (rotation, rounds, words), so a persisted store never serves an
+#: older code's verdict.  Records written before the field existed read
+#: as 1.  2: node IDs travel as ranks (one word each).
+RESULT_VERSION = 2
 
 #: Isomorphic-but-differently-ordered submissions of one topology under
 #: one key; beyond this the oldest entry is dropped (the canonical tier
@@ -82,6 +92,7 @@ class CacheEntry:
     exact: str  # insertion-order fingerprint of the executed graph
     verdict: dict  # normalized JSON verdict, returned verbatim on exact hits
     canonical_rotation: dict[int, list[int]] | None = None  # rank -> neighbor ranks
+    result_version: int = RESULT_VERSION  # of the code that computed ``verdict``
 
 
 @dataclass
@@ -164,6 +175,7 @@ class ResultCache:
         entries = self._store.get(key)
         if entries is not None:
             self._store.move_to_end(key)
+            entries = [e for e in entries if e.result_version == RESULT_VERSION]
             for entry in entries:
                 if entry.exact == exact:
                     self.stats.hits_exact += 1
@@ -219,6 +231,7 @@ class ResultCache:
         exact: str,
         verdict: dict,
         canonical_rotation: dict[int, list[int]] | None = None,
+        result_version: int = RESULT_VERSION,
         _persist: bool = True,
     ) -> None:
         entries = self._store.get(key)
@@ -226,10 +239,12 @@ class ResultCache:
             entries = self._store[key] = []
         else:
             self._store.move_to_end(key)
-            if any(e.exact == exact for e in entries):
+            if any(e.exact == exact and e.result_version == RESULT_VERSION for e in entries):
                 return  # already present (e.g. two racing cold runs)
+            # Another version's entries are never served: drop them here.
+            entries[:] = [e for e in entries if e.result_version == RESULT_VERSION]
         entries.append(
-            CacheEntry(exact=exact, verdict=verdict, canonical_rotation=canonical_rotation)
+            CacheEntry(exact, verdict, canonical_rotation, result_version)
         )
         if len(entries) > _MAX_ENTRIES_PER_KEY:
             entries.pop(0)
@@ -257,8 +272,8 @@ class ResultCache:
         except OSError:
             return  # no warm store yet; it will be created on first append
         records, skipped, torn, good_end = _scan_store(raw)
-        for key, exact, verdict, canon_rot in records:
-            self.store(key, exact, verdict, canon_rot, _persist=False)
+        for key, exact, verdict, canon_rot, result_version in records:
+            self.store(key, exact, verdict, canon_rot, result_version, _persist=False)
             self.stats.persisted_loads += 1
         self.stats.persisted_skipped += skipped
         self.stats.torn_truncated += torn
@@ -284,6 +299,7 @@ def _record_line(key: CacheKey, entry: CacheEntry) -> str:
         "exact": entry.exact,
         "verdict": entry.verdict,
         "canon_rot": entry.canonical_rotation,
+        "rv": entry.result_version,
     }
     crc = zlib.crc32(json.dumps(body, sort_keys=True).encode("utf-8"))
     body["crc"] = crc
@@ -291,7 +307,8 @@ def _record_line(key: CacheKey, entry: CacheEntry) -> str:
 
 
 def _parse_record(line: str) -> tuple:
-    """Decode one store line into ``(key, exact, verdict, canon_rot)``.
+    """Decode one store line into ``(key, exact, verdict, canon_rot,
+    result_version)``.
 
     Raises ``ValueError``/``KeyError``/``TypeError`` on any damage: bad
     JSON, wrong schema version, malformed key — or, for v2 records, a
@@ -319,7 +336,7 @@ def _parse_record(line: str) -> tuple:
         canon_rot = {
             int(rank): [int(r) for r in order] for rank, order in canon_rot.items()
         }
-    return key, exact, verdict, canon_rot
+    return key, exact, verdict, canon_rot, obj.get("rv", 1)
 
 
 def _scan_store(raw: bytes) -> tuple[list, int, int, int]:
@@ -366,11 +383,12 @@ def compact_store(
     """Rewrite a persisted store to its live entries, atomically.
 
     An append-only store grows monotonically — superseded duplicates,
-    skipped corruption, and entries beyond the LRU capacity all stay on
-    disk.  Compaction replays the file through a fresh
-    :class:`ResultCache` (same capacity semantics as serving, so what
-    survives compaction is exactly what a warm start would load), writes
-    the surviving entries as fsync'd v2 records to a temp file, and
+    skipped corruption, records of an older result version and entries
+    beyond the LRU capacity all stay on disk.  Compaction replays the
+    file through a fresh :class:`ResultCache` (same capacity semantics
+    as serving, so what survives compaction is exactly what a warm start
+    would load, less records of another result version), writes the
+    surviving entries as fsync'd v2 records to a temp file, and
     ``os.replace``\\ s it over ``output`` (default: ``path`` itself) —
     a crash mid-compact leaves the original store untouched.
 
@@ -379,12 +397,16 @@ def compact_store(
     size_before = os.stat(path).st_size  # missing input is an error
     cache = ResultCache(capacity=capacity, path=path, fsync=False)
     tmp = (output or path) + ".compact.tmp"
-    entries = 0
+    keys = entries = stale = 0
     with open(tmp, "wb") as f:
         for key, bucket in cache._store.items():
-            for entry in bucket:
+            # Another result version's entries are never served: not kept.
+            live = [e for e in bucket if e.result_version == RESULT_VERSION]
+            for entry in live:
                 f.write(_record_line(key, entry).encode("utf-8"))
-                entries += 1
+            keys += bool(live)
+            entries += len(live)
+            stale += len(bucket) - len(live)
         f.flush()
         os.fsync(f.fileno())
     os.replace(tmp, output or path)
@@ -392,11 +414,12 @@ def compact_store(
         "type": "cache-compact",
         "path": path,
         "output": output or path,
-        "keys": len(cache),
+        "keys": keys,
         "entries": entries,
         "loaded": cache.stats.persisted_loads,
         "skipped": cache.stats.persisted_skipped,
         "torn_truncated": cache.stats.torn_truncated,
+        "stale": stale,
         "bytes_before": size_before,
         "bytes_after": os.stat(output or path).st_size,
     }

@@ -36,7 +36,7 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass, field
 
-from ..planar.graph import Graph, NodeId, sort_key
+from ..planar.graph import Graph, NodeId
 
 __all__ = ["CanonicalForm", "canonical_form", "canonical_hash", "exact_fingerprint"]
 
@@ -145,7 +145,7 @@ def exact_fingerprint(graph: Graph) -> str:
     hasher = hashlib.blake2b(digest_size=_DIGEST_SIZE)
     hasher.update(b"exact-v1")
     for v in graph.nodes():
-        hasher.update(b"\x00v" + sort_key(v).encode())
+        hasher.update(b"\x00v" + repr(v).encode())
         for u in graph.neighbors(v):
-            hasher.update(b"\x01n" + sort_key(u).encode())
+            hasher.update(b"\x01n" + repr(u).encode())
     return hasher.hexdigest()

@@ -283,5 +283,6 @@ def compact_cli(argv: list[str]) -> int:
               f" {summary['entries']} entries under {summary['keys']} keys,"
               f" {summary['bytes_before']} -> {summary['bytes_after']} bytes"
               f" ({summary['skipped']} corrupt skipped,"
-              f" {summary['torn_truncated']} torn truncated)")
+              f" {summary['torn_truncated']} torn truncated,"
+              f" {summary['stale']} stale dropped)")
     return 0

@@ -23,7 +23,6 @@ from repro.core.parts import (
     stub_node,
 )
 from repro.core.realize import RealizationError, cyclic_equal
-from repro.planar.graph import sort_key
 from repro.planar.lr_planarity import NonPlanarGraphError, planar_embedding
 from repro.planar.rotation import RotationSystem
 
@@ -39,7 +38,7 @@ def realize_boundary_order(
     indicates a bug: :func:`~repro.core.merges.merge_parts` lets it
     propagate as an internal error).
     """
-    if sorted(prescribed, key=sort_key) != sorted(part.boundary, key=sort_key):
+    if sorted(prescribed, key=repr) != sorted(part.boundary, key=repr):
         raise ValueError("prescribed order is not a permutation of the boundary")
     m = len(prescribed)
     if m <= 2:

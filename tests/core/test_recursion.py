@@ -9,7 +9,7 @@ from repro.primitives import build_bfs_tree, elect_leader
 
 
 def run_recursion(graph, strategy="balanced"):
-    wrapped = _wrap(graph)
+    wrapped, _ids = _wrap(graph)
     leader = elect_leader(wrapped)
     tree = build_bfs_tree(wrapped, leader)
     ctx = RecursionContext(
@@ -23,8 +23,7 @@ class TestRecursion:
     def test_full_graph_covered(self):
         g = grid_graph(5, 5)
         ctx, part, metrics = run_recursion(g)
-        wrapped_nodes = {("v", v) for v in g.nodes()}
-        assert wrapped_nodes <= part.vertices  # plus possible copies
+        assert set(range(g.num_nodes)) <= part.vertices  # plus possible copies
         assert part.boundary == []
 
     def test_trace_levels_contiguous(self):

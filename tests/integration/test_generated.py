@@ -25,6 +25,7 @@ from tests.integration.generated import (
     build,
     check_nonplanar_input,
     check_planar_input,
+    check_theorem_bound,
     chorded_grid,
     kuratowski_in_planar,
     relabel,
@@ -94,3 +95,37 @@ def test_nonplanar_input_with_an_interleaved_two_terminal_part(graph):
     ``j`` stays for the final merge, which rejects the network; it used
     to be discharged, and assembly raised ``AssemblyError``."""
     check_nonplanar_input(graph)
+
+
+@pytest.mark.parametrize("family", sorted(PLANAR_FAMILIES))
+def test_theorem_bound_on_the_seeded_corpus(family):
+    """Theorem 1.1's rounds with the constant 16 on E34's planar corpus up
+    to n = 60 (seeds 0-11, n = 5 (seed + 1))."""
+    for seed in range(12):
+        graph = build(PLANAR_FAMILIES[family], seed, 5 * (seed + 1))
+        check_theorem_bound(check_planar_input(graph))
+
+
+# hub-with-chords at seed 22 * 7919 + 9 (n = 9), IDs as their ranks,
+# shrunk by edge deletion from 18 edges to 14: the run takes 203 rounds
+# with D~ = 4, 16.01 times D~ min(log2 n, D~), where Theorem 1.1's check
+# allows 16 (the unshrunk input: 218 rounds, 17.19).  hub-with-chords at
+# seed 592 and n = 40, unshrunk: 287 rounds with D~ = 4 (17.94).  Open
+# defects: each case passes once its run fits the bound.
+SMALL_HUB_WITH_CHORDS = Graph(
+    nodes=[2, 7, 6, 3, 8, 5, 0, 1, 4],
+    edges=[
+        (1, 2), (2, 4), (5, 7), (3, 6), (5, 6), (4, 6), (3, 8),
+        (5, 8), (4, 8), (0, 5), (1, 5), (4, 5), (0, 1), (1, 4),
+    ],
+)
+
+
+@pytest.mark.xfail(strict=True, reason="open defect: rounds over 16 D~ min(log2 n, D~)")
+@pytest.mark.parametrize(
+    "graph",
+    [SMALL_HUB_WITH_CHORDS, build(PLANAR_FAMILIES["hub-with-chords"], seed=592, n=40)],
+    ids=["shrunk-n9", "seed-592-n40"],
+)
+def test_hub_with_chords_within_theorem_bound(graph):
+    check_theorem_bound(check_planar_input(graph))

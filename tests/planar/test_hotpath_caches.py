@@ -1,9 +1,8 @@
 """Unit coverage for the hot-path caching layers.
 
-Three independent caches keep the pipeline fast while provably changing
+Two independent caches keep the pipeline fast while provably changing
 nothing observable:
 
-* ``graph.sort_key`` — cached ``repr`` used for every canonical sort;
 * ``RotationSystem.trusted`` — skips permutation validation for orders
   that are permutations by construction;
 * the LR kernel's structural memo — verdicts and int-level rotations
@@ -11,14 +10,11 @@ nothing observable:
   isomorphic relabelings.
 """
 
-import random
+import importlib
 
 import pytest
 
-import importlib
-
-from repro.planar import graph as graph_mod
-from repro.planar.graph import Graph, sort_key
+from repro.planar.graph import Graph
 
 # The package __init__ rebinds the ``lr_planarity`` attribute to the
 # function of the same name; go through importlib for the module itself.
@@ -26,32 +22,6 @@ lr_mod = importlib.import_module("repro.planar.lr_planarity")
 from repro.planar.lr_planarity import is_planar, lr_planarity
 from repro.planar.rotation import RotationSystem
 from repro.planar.verify import verify_planar_embedding
-
-
-# -- sort_key ---------------------------------------------------------------
-
-
-def test_sort_key_order_equals_repr_order():
-    nodes = [
-        ("v", 3), ("v", 12), ("stub", ("v", 1), ("v", 2)), ("rest",),
-        ("copy", ("v", 5), 2, 0), "plain", ("c", 4), ("ghub",),
-    ]
-    rng = random.Random(3)
-    for _ in range(20):
-        rng.shuffle(nodes)
-        assert sorted(nodes, key=sort_key) == sorted(nodes, key=repr)
-
-
-def test_sort_key_unhashable_falls_back_to_repr():
-    assert sort_key([1, 2]) == repr([1, 2])
-
-
-def test_sort_key_cache_clears_when_full(monkeypatch):
-    monkeypatch.setattr(graph_mod, "_SORT_KEY_CACHE", {})
-    monkeypatch.setattr(graph_mod, "_SORT_KEY_MAX_ENTRIES", 4)
-    for i in range(10):
-        assert sort_key(("v", i)) == repr(("v", i))
-    assert len(graph_mod._SORT_KEY_CACHE) <= 4
 
 
 # -- RotationSystem.trusted -------------------------------------------------

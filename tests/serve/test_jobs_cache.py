@@ -1,13 +1,16 @@
 """The job model (serve/jobs.py) and result cache (serve/cache.py)."""
 
 import json
+import zlib
 
 import pytest
 
 from repro.planar.generators import grid_graph, random_maximal_planar
 from repro.serve import (
     ResultCache,
+    ServiceDriver,
     canonical_form,
+    compact_store,
     config_key,
     exact_fingerprint,
     load_jobs,
@@ -179,6 +182,64 @@ class TestResultCache:
     def test_capacity_validation(self):
         with pytest.raises(ValueError):
             ResultCache(capacity=0)
+
+
+def _as_previous_result_version(line: str) -> str:
+    """A store record as the code before result versions wrote it: the
+    same v2 body and CRC, without the ``rv`` field (read as 1)."""
+    body = json.loads(line)
+    del body["crc"]
+    body.pop("rv", None)
+    body["crc"] = zlib.crc32(json.dumps(body, sort_keys=True).encode("utf-8"))
+    return json.dumps(body, sort_keys=True) + "\n"
+
+
+class TestResultVersion:
+    def test_a_previous_result_version_record_is_not_an_exact_hit(self, tmp_path):
+        path = tmp_path / "cache.jsonl"
+        g = grid_graph(3, 3)
+        key, exact, form = _entry(g)
+        ResultCache(path=str(path)).store(key, exact, {"outcome": "ok", "words": 99})
+        path.write_text(_as_previous_result_version(path.read_text()))
+
+        warm = ResultCache(path=str(path))
+        assert warm.stats.persisted_loads == 1 and len(warm) == 1
+        assert warm.lookup(key, exact, form, g) is None
+        assert warm.stats.hits == 0
+        # The recomputed verdict replaces the old record, now and on replay.
+        warm.store(key, exact, {"outcome": "ok", "words": 55})
+        assert warm.lookup(key, exact, form, g).verdict["words"] == 55
+        assert ResultCache(path=str(path)).lookup(key, exact, form, g).verdict["words"] == 55
+
+    def test_compaction_drops_a_previous_result_version_record(self, tmp_path):
+        path = tmp_path / "cache.jsonl"
+        g = grid_graph(3, 3)
+        key, exact, _form = _entry(g)
+        ResultCache(path=str(path)).store(key, exact, {"outcome": "ok", "words": 99})
+        path.write_text(_as_previous_result_version(path.read_text()))
+
+        other = grid_graph(2, 4)
+        key2, exact2, form2 = _entry(other)
+        ResultCache(path=str(path)).store(key2, exact2, {"outcome": "ok", "words": 7})
+
+        summary = compact_store(str(path))
+        assert (summary["stale"], summary["entries"], summary["keys"]) == (1, 1, 1)
+        compacted = ResultCache(path=str(path))
+        assert compacted.stats.persisted_loads == 1
+        assert compacted.lookup(key2, exact2, form2, other).verdict["words"] == 7
+
+    def test_the_driver_recomputes_a_previous_result_version_verdict(self, tmp_path):
+        path = tmp_path / "cache.jsonl"
+        jobs = [json.dumps({"demo": ["grid", 4, 4]})]
+        cold = ServiceDriver(workers=0, cache=ResultCache(path=str(path))).run(load_jobs(jobs))
+        stale = json.loads(path.read_text())
+        stale["verdict"]["report"]["metrics"]["total_words"] += 1000  # older code's words
+        path.write_text(_as_previous_result_version(json.dumps(stale)))
+
+        cache = ResultCache(path=str(path))
+        (outcome,) = ServiceDriver(workers=0, cache=cache).run(load_jobs(jobs))
+        assert cache.stats.misses == 1 and cache.stats.hits == 0
+        assert outcome.record == cold[0].record
 
 
 class TestChurnJobs:

@@ -12,7 +12,8 @@ degrees of freedom" (full version §7.1.4).  It is a small planar graph
 whose planar embeddings realize exactly the part's interface:
 
 * every block that lies between attachments is replaced by a **wheel**
-  through its attachment vertices in their fixed cyclic order — a wheel
+  through its attachment vertices in their fixed cyclic order, read off
+  the part's outer face (:func:`face_wheels`) — a wheel
   is 3-connected, so its embedding is rigid up to a mirror flip, exactly
   the block's freedom; the hub also blocks the interior, since nothing
   else may embed inside a block (the safety property puts all
@@ -32,12 +33,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ..planar.biconnected import BiconnectedDecomposition, biconnected_components
-from ..planar.graph import Graph, NodeId
-from ..planar.lr_planarity import NonPlanarGraphError, planar_embedding
-from .parts import PartEmbedding
+from ..planar.graph import Graph, NodeId, edge_id
+from .parts import PartEmbedding, is_stub
 
-__all__ = ["InterfaceSkeleton", "SkeletonError", "interface_skeleton", "block_attachment_order",
-           "skeleton_edge_count"]
+__all__ = ["InterfaceSkeleton", "SkeletonError", "face_wheels", "interface_skeleton",
+           "skeleton_edge_count", "steiner_blocks"]
 
 class SkeletonError(RuntimeError):
     """The skeleton construction hit an inconsistent part embedding."""
@@ -58,86 +58,6 @@ class InterfaceSkeleton:
             self.part_id,
             tuple(sorted((repr(u), repr(v)) for u, v in self.graph.edges())),
         )
-
-
-def block_attachment_order(block_graph: Graph, relevant: list[NodeId]) -> list[NodeId]:
-    """The fixed cyclic order of ``relevant`` vertices around a block.
-
-    Per Observation 3.2 (and Figure 2) the cyclic order in which a
-    biconnected planar graph presents a set of co-facial vertices to the
-    outside is unique up to a flip, so *any* embedding that makes them
-    co-facial reveals it.  We embed the block plus an apex adjacent to
-    the relevant vertices; the apex's rotation is the order.
-    """
-    if len(relevant) <= 2:
-        return list(relevant)
-    apex = ("rest",)
-    augmented = block_graph.copy()
-    for u in relevant:
-        augmented.add_edge(apex, u)
-    try:
-        rotation = planar_embedding(augmented)
-    except NonPlanarGraphError as exc:
-        raise SkeletonError(
-            "block attachments cannot be made co-facial; invalid part state"
-        ) from exc
-    return list(rotation.order(apex))
-
-
-def _bc_tree_adjacency(
-    decomposition: BiconnectedDecomposition,
-) -> tuple[dict, dict]:
-    """Adjacency of the block-cut tree as two maps (block->cuts, cut->blocks)."""
-    cuts = decomposition.cut_vertices()
-    block_to_cuts: dict = {}
-    cut_to_blocks: dict = {c: [] for c in cuts}
-    for component in decomposition.components:
-        cid = component.component_id
-        block_to_cuts[cid] = [v for v in component.vertices if v in cuts]
-        for v in block_to_cuts[cid]:
-            cut_to_blocks[v].append(cid)
-    return block_to_cuts, cut_to_blocks
-
-
-def _steiner_nodes(
-    terminals: set, block_to_cuts: dict, cut_to_blocks: dict
-) -> set:
-    """Nodes of the block-cut tree's Steiner subtree spanning ``terminals``.
-
-    Tree nodes are tagged ``("block", cid)`` / ``("cut", v)``; terminals
-    must be tagged the same way.  Computed by repeatedly pruning
-    non-terminal leaves.
-    """
-    adjacency: dict = {}
-    for cid, cuts in block_to_cuts.items():
-        adjacency[("block", cid)] = [("cut", c) for c in cuts]
-    for c, blocks in cut_to_blocks.items():
-        adjacency[("cut", c)] = [("block", cid) for cid in blocks]
-    alive = set(adjacency)
-    degree = {t: len(adjacency[t]) for t in alive}
-    leaves = [t for t in alive if degree[t] <= 1 and t not in terminals]
-    while leaves:
-        leaf = leaves.pop()
-        if leaf not in alive or leaf in terminals:
-            continue
-        alive.discard(leaf)
-        for nb in adjacency[leaf]:
-            if nb in alive:
-                degree[nb] -= 1
-                if degree[nb] <= 1 and nb not in terminals:
-                    leaves.append(nb)
-    # Drop anything not connecting terminals (other components of the forest).
-    if terminals:
-        reachable: set = set()
-        stack = [next(iter(terminals))]
-        while stack:
-            t = stack.pop()
-            if t in reachable or t not in alive:
-                continue
-            reachable.add(t)
-            stack.extend(nb for nb in adjacency[t] if nb in alive)
-        alive = reachable
-    return alive
 
 
 def _smooth_chains(skeleton: Graph, keep: set) -> None:
@@ -162,23 +82,89 @@ def _smooth_chains(skeleton: Graph, keep: set) -> None:
             changed = True
 
 
-def _steiner(attachments: set, decomposition: BiconnectedDecomposition) -> tuple[set, dict]:
-    """The block-cut Steiner subtree spanning ``attachments`` (>= 2), and the
-    *relevant* vertices of each of its blocks: attachments and Steiner cuts."""
-    block_to_cuts, cut_to_blocks = _bc_tree_adjacency(decomposition)
-    terminals: set = set()
+def steiner_blocks(attachments: set, decomposition: BiconnectedDecomposition) -> dict:
+    """The blocks of the block-cut tree's Steiner subtree spanning
+    ``attachments``, each mapped to its *relevant* vertices: its
+    attachments and the cut vertices it shares with another Steiner block.
+
+    A terminal is ``("cut", u)`` for a cut-vertex attachment and
+    ``("block", b)`` for an attachment inside the one block ``b``.  A
+    breadth-first walk from one terminal keeps parent pointers and stops
+    once every terminal is reached; the Steiner subtree is the union of
+    the terminals' paths back to it, and its edges are parent pointers.
+    One attachment spans no block; ``decomposition`` is then unread.
+    """
+    if len(attachments) <= 1:
+        return {}
+    components_of = decomposition.components_of
+    terminals = set()
     for u in attachments:
-        blocks = decomposition.components_of.get(u, [])
+        blocks = components_of.get(u)
         if not blocks:  # pragma: no cover - connected multi-vertex part
             raise SkeletonError(f"attachment {u!r} lies in no block")
-        terminals.add(("cut", u) if u in cut_to_blocks else ("block", blocks[0]))
-    steiner = _steiner_nodes(terminals, block_to_cuts, cut_to_blocks)
-    relevant = {}
-    for kind, key in steiner:
+        terminals.add(("cut", u) if len(blocks) > 1 else ("block", blocks[0]))
+    root = next(iter(terminals))
+    parent = {root: None}
+    queue, missing = [root], len(terminals) - 1
+    for kind, key in queue:
+        if not missing:
+            break
         if kind == "block":
             vertices = decomposition.component_by_id[key].vertices
-            relevant[key] = {v for v in vertices if v in attachments or ("cut", v) in steiner}
-    return steiner, relevant
+            near = [("cut", v) for v in vertices if len(components_of[v]) > 1]
+        else:
+            near = [("block", b) for b in components_of[key]]
+        for node in near:
+            if node not in parent:
+                parent[node] = (kind, key)
+                missing -= node in terminals
+                queue.append(node)
+    steiner: set = set()
+    for node in terminals:
+        while node is not None and node not in steiner:
+            steiner.add(node)
+            node = parent[node]
+    relevant = {key: set() for kind, key in steiner if kind == "block"}
+    for node in steiner:  # each tree edge joins a cut vertex and a block
+        up = parent[node]
+        if up is not None:
+            cut, block = (node[1], up[1]) if node[0] == "cut" else (up[1], node[1])
+            relevant[block].add(cut)
+    for u in attachments:
+        if len(components_of[u]) == 1:
+            relevant[components_of[u][0]].add(u)
+    return relevant
+
+
+def face_wheels(face: list, steiner: dict, decomposition: BiconnectedDecomposition) -> dict:
+    """The wheel of each Steiner block with ``r >= 3`` relevant vertices:
+    those vertices in the order ``face``, the part's outer face, meets
+    them as heads of the block's darts.
+
+    Sound by Observation 3.2 and the safety property.  A Steiner block lies
+    between two outer-face attachments, so no block hanging off one cut
+    vertex can enclose it, or one of its sides would have no outer
+    attachment; its relevant vertices therefore sit on its own outer face,
+    which the part's outer face runs along (realization's argument,
+    :mod:`repro.core.realize`), each once.  Observation 3.2 makes their
+    cyclic order unique up to a flip.
+    """
+    wheels = {b: [] for b, relevant in steiner.items() if len(relevant) >= 3}
+    if not wheels:
+        return wheels
+    block_of = decomposition.component_of_edge
+    wanted = set().union(*(steiner[b] for b in wheels))
+    for u, v in face:
+        if v in wanted and not is_stub(u):
+            b = block_of[edge_id(u, v)]
+            if b in wheels and v in steiner[b]:
+                wheels[b].append(v)
+    for b, wheel in wheels.items():
+        if len(wheel) != len(steiner[b]):
+            raise SkeletonError(
+                "block attachments are not on the part's outer face; invalid part state"
+            )
+    return wheels
 
 
 def skeleton_edge_count(attachments: set, decomposition: BiconnectedDecomposition | None) -> int:
@@ -189,10 +175,8 @@ def skeleton_edge_count(attachments: set, decomposition: BiconnectedDecompositio
     non-attachment of skeleton degree 2, a cut vertex between exactly two
     one-edge blocks.  ``decomposition`` is unread for one attachment.
     """
-    if len(attachments) <= 1:
-        return 0
     edges, degree = 0, {}
-    for vertices in _steiner(attachments, decomposition)[1].values():
+    for vertices in steiner_blocks(attachments, decomposition).values():
         r = len(vertices)
         if r >= 2:
             edges += 1 if r == 2 else 2 * r
@@ -204,11 +188,16 @@ def skeleton_edge_count(attachments: set, decomposition: BiconnectedDecompositio
 def interface_skeleton(
     part: PartEmbedding,
     decomposition: BiconnectedDecomposition | None = None,
+    face: list | None = None,
+    steiner: dict | None = None,
 ) -> InterfaceSkeleton:
     """Compress ``part`` to its interface skeleton (see module docstring).
 
     ``decomposition`` lets a caller share one biconnected decomposition
-    of ``part.graph`` (a merge shares it with the reduced summary's word
+    of ``part.graph``, ``face`` one trace of the part's outer face from
+    where :meth:`~repro.core.parts.PartEmbedding.outer_face` starts it,
+    and ``steiner`` its :func:`steiner_blocks` over the part's
+    attachments (a merge shares all three with the reduced summary's word
     count and with the realization).
     """
     attachments = part.attachments()
@@ -224,25 +213,17 @@ def interface_skeleton(
     if decomposition is None:
         decomposition = biconnected_components(part.graph)
     attachment_set = set(attachments)
-    steiner, relevant_in = _steiner(attachment_set, decomposition)
-    for node in sorted(steiner, key=repr):
-        kind, key = node
-        if kind != "block":
-            continue
-        relevant = sorted(relevant_in[key], key=repr)
+    if steiner is None:
+        steiner = steiner_blocks(attachment_set, decomposition)
+    wheels = face_wheels(part.outer_face() if face is None else face, steiner, decomposition)
+    for key in sorted(steiner, key=repr):
+        relevant = sorted(steiner[key], key=repr)
         if len(relevant) <= 1:
             for v in relevant:
                 skeleton.add_node(v)
                 anchors.add(v)
             continue
-        if len(relevant) == 2:
-            order = relevant  # block_attachment_order's answer, without the block
-        else:
-            block_graph = Graph()
-            edges = decomposition.component_by_id[key].edges
-            for u, v in sorted(edges, key=repr):
-                block_graph.add_edge(u, v)
-            order = block_attachment_order(block_graph, relevant)
+        order = wheels.get(key, relevant)
         anchors.update(order)
         if len(order) == 2:
             skeleton.add_edge(order[0], order[1])

@@ -43,7 +43,7 @@ from ..planar.lr_planarity import NonPlanarGraphError, planar_embedding
 from ..planar.rotation import RotationError, RotationSystem, contracted_rotation
 from ..planar.verify import check_embedding_with_boundary
 from ..planar.biconnected import biconnected_components
-from .interface import interface_skeleton, skeleton_edge_count
+from .interface import interface_skeleton, skeleton_edge_count, steiner_blocks
 from .parts import (
     HalfEdge,
     NonPlanarNetworkError,
@@ -202,19 +202,21 @@ def _skeleton_merge(
 ) -> PartEmbedding:
     """The skeleton-based merge: steps 1-4 of the module docstring."""
     skeletons = {}
-    decompositions = {}
-    faces = {}
+    shared = {}
     connecting_keys = {frozenset(e) for e in connecting}
     for p in parts:
-        # One biconnected decomposition per part serves its skeleton, the
-        # reduced summary and the realization (which builds it if None);
-        # one trace of its outer face serves the summary and realization.
-        decomp = (
-            biconnected_components(p.graph) if len(p.attachments()) > 1 else None
-        )
-        decompositions[p.part_id] = decomp
-        faces[p.part_id] = face = p.outer_face()
-        skeletons[p.part_id] = interface_skeleton(p, decomposition=decomp)
+        # One biconnected decomposition per part, its Steiner blocks over
+        # the part's attachments and one trace of its outer face serve the
+        # skeleton, the reduced summary and the realization (which builds
+        # the first two if None).
+        attachments = p.attachments()
+        decomp = steiner = None
+        if len(attachments) > 1:
+            decomp = biconnected_components(p.graph)
+            steiner = steiner_blocks(set(attachments), decomp)
+        face = p.outer_face()
+        shared[p.part_id] = decomp, face, steiner
+        skeletons[p.part_id] = interface_skeleton(p, decomp, face, steiner)
         result.up_words[p.part_id] = _reduced_summary_words(
             p, connecting_keys, face, decomposition=decomp
         )
@@ -265,9 +267,8 @@ def _skeleton_merge(
         # rotation locally (the Section 3 distributed representation).
         # That is proportional to the skeleton, not to the boundary.
         result.down_words[p.part_id] = result.up_words[p.part_id]
-        realized = realize_boundary_order(
-            p, prescribed, decompositions[p.part_id], faces[p.part_id]
-        )
+        decomp, face, steiner = shared[p.part_id]
+        realized = realize_boundary_order(p, prescribed, decomp, face, steiner)
         # Fold the realized rotations into the merged part.  Only rings of
         # attachment vertices hold stubs: there the stubs of connecting
         # edges resolve into real neighbours, and external ones stay.

@@ -64,6 +64,11 @@ def reset_part_ids() -> None:
     _PART_IDS = itertools.count(1)
 
 
+def next_part_id() -> int:
+    """A fresh part ID from the process-local allocator."""
+    return next(_PART_IDS)
+
+
 class NonPlanarNetworkError(ValueError):
     """The distributed algorithm determined that the network is not planar."""
 
@@ -242,7 +247,7 @@ def fresh_part(
     if depth is None:
         depth = graph_depth(graph)
     if part_id is None:
-        part_id = next(_PART_IDS)
+        part_id = next_part_id()
     return PartEmbedding(
         part_id=part_id, graph=graph, boundary=list(boundary), rotation=rotation, depth=depth
     )

@@ -5,8 +5,10 @@ part must give its half-embedded edges the cyclic order it receives.  It
 does so with the interface moves of Observation 3.2 and Figure 4 — block
 flips, and the order of blocks and stubs around cut vertices — applied
 to its own rotation.  Rooted at the first prescribed stub's endpoint,
-every block and vertex gets the interval of prescribed positions of the
-stubs behind it.  A block is kept if its stub-carrying children, read
+every block of the block-cut tree's Steiner subtree over the stubs'
+endpoints, and every vertex of one, gets the interval of prescribed
+positions of the stubs behind it; no stub lies behind any other block.
+A block is kept if its stub-carrying children, read
 along its outer face from its entry vertex, come in increasing order,
 and flipped (its rings reversed) if decreasing.  A stub-carrying
 vertex's ring becomes its parent item's segment, cut after its outer
@@ -27,7 +29,8 @@ not interleave around a cut vertex keep the genus at zero.
 The merge traces each part's outer face once, for its summary's word
 count, and hands that trace in: realization starts it at the first
 prescribed stub instead of tracing it again.  Only the final check of
-the new walk traces the new rotation.
+the new walk traces the new rotation.  The merge hands in the part's
+Steiner blocks too, which its skeleton was built from.
 """
 
 from __future__ import annotations
@@ -37,6 +40,7 @@ from collections.abc import Sequence
 from ..planar.biconnected import BiconnectedDecomposition, biconnected_components
 from ..planar.graph import edge_id
 from ..planar.rotation import RotationSystem
+from .interface import steiner_blocks
 from .parts import HalfEdge, PartEmbedding, stub_node
 
 __all__ = ["RealizationError", "realize_boundary_order", "cyclic_equal"]
@@ -69,6 +73,7 @@ def realize_boundary_order(
     prescribed: Sequence[HalfEdge],
     decomposition: BiconnectedDecomposition | None = None,
     face: list | None = None,
+    steiner: dict | None = None,
 ) -> RotationSystem:
     """A rotation of ``part`` whose boundary walk equals ``prescribed``.
 
@@ -78,9 +83,10 @@ def realize_boundary_order(
     indicates a bug: :func:`~repro.core.merges.merge_parts` lets it
     propagate as an internal error).
     ``decomposition`` lets a caller share one biconnected decomposition
-    of ``part.graph`` with the part's skeleton, and ``face`` one trace of
-    the part's outer face (the face of ``part.rotation`` holding its
-    stubs, from any dart) with its summary.
+    of ``part.graph`` and its :func:`~repro.core.interface.steiner_blocks`
+    over the part's attachments (``steiner``) with the part's skeleton,
+    and ``face`` one trace of the part's outer face (the face of
+    ``part.rotation`` holding its stubs, from any dart) with its summary.
     """
     # Half-edges are distinct, so equal sizes and equal sets make a permutation.
     if len(prescribed) != len(part.boundary) or set(prescribed) != set(part.boundary):
@@ -108,6 +114,8 @@ def realize_boundary_order(
 
     if decomposition is None:
         decomposition = biconnected_components(part.graph)
+    if steiner is None:
+        steiner = steiner_blocks(set(part.attachments()), decomposition)
     block_of, blocks_of = decomposition.component_of_edge, decomposition.components_of
     vertices_of = decomposition.component_by_id
     arrive: dict = {}  # (block, v) -> the neighbour the face arrives from
@@ -118,15 +126,16 @@ def realize_boundary_order(
             arrive[b, v] = u
             met.setdefault(b, []).append(v)
 
-    # Root the block-cut structure (iteratively: subdivided parts nest
-    # hundreds of blocks deep), then the stub intervals bottom-up.
+    # Root the Steiner blocks (iteratively: subdivided parts nest hundreds
+    # of blocks deep), then the stub intervals bottom-up.  Any other block
+    # has no stub behind it: it gets no interval and keeps its rings.
     parent: dict = {root: None}  # vertex -> the block it hangs from
     entry: dict = {}  # block -> the vertex it hangs from
     blocks, stack = [], [root]
     while stack:
         v = stack.pop()
         for b in blocks_of[v]:
-            if b not in entry:
+            if b in steiner and b not in entry:
                 entry[b] = v
                 blocks.append(b)
                 for w in vertices_of[b].vertices:

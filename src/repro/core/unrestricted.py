@@ -64,6 +64,7 @@ from .parts import (
     fresh_part,
     graph_depth,
     is_stub,
+    next_part_id,
     stub_node,
 )
 from .symmetry import symmetry_break
@@ -157,6 +158,58 @@ def adopt_copy(part: PartEmbedding, copy: NodeId, coordinator: NodeId) -> PartEm
     return PartEmbedding(part.part_id, graph, boundary, rotation, graph_depth(graph))
 
 
+def path_rotation(path: list[NodeId], augmented: Graph) -> RotationSystem:
+    """The rotation :func:`~repro.core.parts.embed_with_boundary` gives the
+    path ``v_0 .. v_(k-1)`` whose stubs ``augmented`` holds (each vertex's
+    path edges inserted before its stubs), in closed form.
+
+    Let ``S(v)`` be ``v``'s stubs in boundary order, ``L = v_l`` the last
+    vertex with a stub and ``c`` the number of vertices with one.  The
+    LR kernel embeds the path, the stubs and a *rest* vertex adjacent to
+    every stub.  Its DFS roots at ``v_0`` and sees path edges before
+    stubs, so its tree runs down the path; backtracking, the first stub
+    edge it takes is ``L``'s first stub ``s_1``, which leads to *rest*,
+    from which every other stub is a tree child that closes one back edge
+    to its own vertex.  Those back edges all return from below *rest*,
+    sorted by the height of their vertex, so none conflicts with another,
+    and each is spliced clockwise right after the tree edge by which its
+    vertex reached *rest* (``v_(i+1)``, or ``s_1`` at ``L``), so ahead of
+    the stubs spliced there before it: they come out reversed.  A
+    vertex's parent comes first in its ring:
+
+    * a vertex other than ``L`` gets ``(v_(i-1), v_(i+1), *reversed(S(v)))``;
+    * ``L`` gets ``s_1`` then its other stubs reversed,
+      ``S' = (s_1, s_m, .., s_2)``, where its two tree edges go in the
+      order of their nesting depth: ``v_(l+1)`` has no back edge below it
+      (depth ``2l``), while ``s_1``'s lowest return is the first vertex
+      with a stub, below ``2l`` exactly when ``c > 1`` (on a tie the path
+      edge, inserted first, stays first).  So ``L`` gets
+      ``(v_(l-1), *S', v_(l+1))`` when it is interior and ``c > 1``, and
+      ``(v_(l-1), v_(l+1), *S')`` otherwise, a missing path neighbour
+      left out;
+    * every stub gets ``(v,)``, *rest* removed.
+
+    With one vertex this is ``embed_with_boundary``'s own closed form.
+    """
+    k, adj = len(path), augmented._adj
+    order = dict.fromkeys(adj)  # the path, then the stubs in boundary order
+    stubs_at = {v: [s for s in adj[v] if is_stub(s)] for v in path}
+    carrying = [i for i, v in enumerate(path) if stubs_at[v]]
+    last = carrying[-1] if carrying else None
+    for i, v in enumerate(path):
+        near = path[max(i - 1, 0) : i] + path[i + 1 : i + 2]
+        stubs = stubs_at[v]
+        for s in stubs:
+            order[s] = (v,)
+        if i != last:
+            order[v] = (*near, *stubs[::-1])
+        elif 0 < i < k - 1 and len(carrying) > 1:
+            order[v] = (near[0], stubs[0], *stubs[:0:-1], near[1])
+        else:
+            order[v] = (*near, *stubs[:1], *stubs[:0:-1])
+    return RotationSystem.trusted(augmented, order)
+
+
 class _MergeDriver:
     """Mutable state of one unrestricted path-coordinated merge."""
 
@@ -206,9 +259,9 @@ class _MergeDriver:
         graph = Graph(nodes=self.p0_order)
         for a, b in zip(self.p0_order, self.p0_order[1:]):
             graph.add_edge(a, b)
-        return fresh_part(
-            graph, unique, depth=len(self.p0_order) - 1, part_id=self.p0_id
-        )
+        rotation = path_rotation(self.p0_order, augment_with_stubs(graph, unique))
+        part_id = self.p0_id if self.p0_id is not None else next_part_id()
+        return PartEmbedding(part_id, graph, unique, rotation, len(self.p0_order) - 1)
 
     def _replace_part(self, old_ids: list[int], result: MergeResult) -> int:
         for pid in old_ids:

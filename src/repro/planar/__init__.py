@@ -12,7 +12,6 @@ workload generators, and the embedding verifier.
 from .biconnected import (
     BiconnectedComponent,
     BiconnectedDecomposition,
-    BlockCutTree,
     articulation_points,
     biconnected_components,
 )
@@ -64,7 +63,6 @@ __all__ = [
     "ScopedPlanarityOracle",
     "BiconnectedComponent",
     "BiconnectedDecomposition",
-    "BlockCutTree",
     "biconnected_components",
     "articulation_points",
     "kuratowski_subgraph",

@@ -1,4 +1,4 @@
-"""Biconnected-component decomposition and block-cut trees.
+"""Biconnected-component decomposition.
 
 Observation 3.2 of the paper reduces a part's embedding freedom to its
 biconnected-component decomposition: each block has a fixed cyclic
@@ -24,7 +24,6 @@ __all__ = [
     "BiconnectedDecomposition",
     "biconnected_components",
     "articulation_points",
-    "BlockCutTree",
 ]
 
 
@@ -154,40 +153,3 @@ def articulation_points(graph: Graph) -> set[NodeId]:
     """Cut vertices of ``graph``."""
     return biconnected_components(graph).cut_vertices()
 
-
-class BlockCutTree:
-    """The bipartite tree of blocks and cut vertices.
-
-    Tree nodes are either ``("block", component_id)`` or ``("cut", v)``;
-    a block node is adjacent to the cut vertices it contains.  For a
-    connected graph this is a tree; for a disconnected graph, a forest.
-    The paper's Figure 4(b) draws exactly this object.
-    """
-
-    def __init__(self, decomposition: BiconnectedDecomposition) -> None:
-        self.decomposition = decomposition
-        self.tree = Graph()
-        cuts = decomposition.cut_vertices()
-        for component in decomposition.components:
-            block_node = ("block", component.component_id)
-            self.tree.add_node(block_node)
-            for v in sorted(component.vertices, key=repr):
-                if v in cuts:
-                    self.tree.add_edge(block_node, ("cut", v))
-
-    def block_nodes(self) -> list:
-        return [t for t in self.tree.nodes() if t[0] == "block"]
-
-    def cut_nodes(self) -> list:
-        return [t for t in self.tree.nodes() if t[0] == "cut"]
-
-    def blocks_at(self, v: NodeId) -> list:
-        """Component IDs of the blocks containing vertex ``v``."""
-        return list(self.decomposition.components_of.get(v, ()))
-
-    def is_tree(self) -> bool:
-        """Sanity invariant: acyclic with one component per graph component."""
-        t = self.tree
-        if t.num_nodes == 0:
-            return True
-        return t.num_edges == t.num_nodes - len(t.connected_components())

@@ -299,20 +299,3 @@ def contracted_rotation(
         )
     return walk
 
-
-def outer_face_darts(
-    rotation: RotationSystem, boundary: Iterable[NodeId]
-) -> list[list[tuple[NodeId, NodeId]]]:
-    """All faces of ``rotation`` that touch every vertex in ``boundary``.
-
-    Convenience used by the merge machinery to locate a face on which a
-    given set of attachment vertices all appear (the 'outside face' of a
-    part, in the paper's sense).
-    """
-    wanted = set(boundary)
-    result = []
-    for face in trace_faces(rotation):
-        on_face = {u for u, _ in face}
-        if wanted <= on_face:
-            result.append(face)
-    return result

@@ -7,7 +7,6 @@ from .aggregation import (
     tree_broadcast,
 )
 from .bfs import BfsProgram, BfsTree, build_bfs_tree
-from .estimation import NetworkEstimate, estimate_network
 from .coloring import (
     cole_vishkin_3coloring,
     is_proper_coloring,
@@ -24,8 +23,6 @@ __all__ = [
     "build_bfs_tree",
     "BfsTree",
     "BfsProgram",
-    "estimate_network",
-    "NetworkEstimate",
     "tree_aggregate",
     "tree_broadcast",
     "ConvergecastProgram",

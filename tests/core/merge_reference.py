@@ -128,7 +128,7 @@ def _reduced_summary_words(
         part_id=p.part_id,
         graph=p.graph,
         boundary=participating,
-        rotation=p.rotation,  # skeleton construction never reads it
+        rotation=p.rotation,  # its outer face holds the participating stubs
         depth=p.depth,
     )
     sk_edges = interface_skeleton(reduced, decomposition=decomposition).graph.num_edges

@@ -1,16 +1,38 @@
-"""Interface skeletons: the compressed-PQ-tree analogue (Observation 3.2)."""
+"""Interface skeletons: the compressed-PQ-tree analogue (Observation 3.2).
 
-from repro.core import fresh_part, interface_skeleton
-from repro.core.interface import block_attachment_order
-from repro.planar import Graph, is_planar
+The block-cut Steiner walk and the wheels read off a part's outer face
+are held to :mod:`tests.core.interface_reference`, which keeps the pruned
+whole-tree Steiner search and the LR-embedded block orders they replaced.
+"""
+
+import random
+
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+import repro.core.merges as merges_module
+from repro import distributed_planar_embedding
+from repro.core import cyclic_equal, fresh_part, interface_skeleton
+from repro.core.interface import SkeletonError, face_wheels, steiner_blocks
+from repro.planar import Graph, biconnected_components, is_planar
 from repro.planar.generators import (
     cycle_graph,
     grid_graph,
     path_graph,
     random_maximal_planar,
+    random_outerplanar,
+    random_planar,
+    subdivide,
     theta_graph,
     wheel_graph,
 )
+from tests.core.interface_reference import (
+    block_attachment_order,
+    block_graph_of,
+    reference_steiner,
+)
+from tests.core.test_merge_differential import random_part
 
 
 class TestBlockAttachmentOrder:
@@ -118,3 +140,89 @@ class TestSkeleton:
         sk = interface_skeleton(part)
         assert sk.graph.is_connected()
         assert set(part.attachments()) <= set(sk.anchors)
+
+
+# -- differentials against tests/core/interface_reference.py ----------------
+
+
+def steiner_node_set(steiner, decomposition):
+    """The block-cut nodes of a :func:`steiner_blocks` result: its blocks,
+    and the cut vertices among their relevant vertices."""
+    nodes = {("block", b) for b in steiner}
+    nodes |= {
+        ("cut", v) for vs in steiner.values() for v in vs if decomposition.is_cut_vertex(v)
+    }
+    return nodes
+
+
+def check_against_reference(part, face, rng):
+    """The walk's Steiner blocks and relevant sets equal the pruned tree's
+    for all attachments and a random subset; every face-read wheel is
+    ``block_attachment_order``'s cyclic order up to rotation and flip.
+    Returns the number of wheels compared."""
+    attachments = part.attachments()
+    if len(attachments) < 2:
+        return 0
+    decomposition = biconnected_components(part.graph)
+    subset = rng.sample(attachments, rng.randint(2, len(attachments)))
+    for chosen in (set(attachments), set(subset)):
+        nodes, relevant = reference_steiner(chosen, decomposition)
+        steiner = steiner_blocks(chosen, decomposition)
+        assert steiner == relevant
+        assert steiner_node_set(steiner, decomposition) == nodes
+    steiner = steiner_blocks(set(attachments), decomposition)
+    wheels = face_wheels(face, steiner, decomposition)
+    assert set(wheels) == {b for b, vs in steiner.items() if len(vs) >= 3}
+    for b, wheel in wheels.items():
+        relevant = sorted(steiner[b], key=repr)
+        expected = block_attachment_order(block_graph_of(decomposition, b), relevant)
+        assert cyclic_equal(wheel, expected) or cyclic_equal(wheel, expected[::-1])
+    return len(wheels)
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(seed=st.integers(0, 10**6))
+def test_steiner_walk_and_face_wheels_match_the_reference(seed):
+    rng = random.Random(seed)
+    part = random_part(rng)
+    check_against_reference(part, part.outer_face(), rng)
+
+
+def test_face_wheels_are_compared_on_generated_parts():
+    wheels = 0
+    for seed in range(200):
+        rng = random.Random(seed)
+        part = random_part(rng)
+        wheels += check_against_reference(part, part.outer_face(), rng)
+    assert wheels >= 60
+
+
+def test_face_wheels_match_the_reference_on_pipeline_parts(monkeypatch):
+    """Every part a merge compresses, with the face the merge traced."""
+    seen = []
+    skeleton = merges_module.interface_skeleton
+
+    def spy(part, decomposition=None, face=None, steiner=None):
+        seen.append((part, face))
+        return skeleton(part, decomposition, face, steiner)
+
+    monkeypatch.setattr(merges_module, "interface_skeleton", spy)
+    for graph in (
+        subdivide(random_maximal_planar(10, 3), 3),
+        random_outerplanar(80, seed=4),
+        random_planar(80, seed=2),
+        grid_graph(7, 7),
+    ):
+        distributed_planar_embedding(graph)
+    rng = random.Random(7)
+    wheels = sum(check_against_reference(part, face, rng) for part, face in seen)
+    assert len(seen) > 100 and wheels >= 20
+
+
+def test_a_relevant_vertex_off_the_face_raises():
+    part = fresh_part(cycle_graph(6), [(0, 100), (2, 101), (4, 102)])
+    decomposition = biconnected_components(part.graph)
+    steiner = steiner_blocks({0, 2, 4}, decomposition)
+    inner = part.rotation.face_of(1, 0)  # the cycle's stub-free face
+    with pytest.raises(SkeletonError, match="not on the part's outer face"):
+        face_wheels([d for d in inner if d[0] != 0 and d[1] != 0], steiner, decomposition)

@@ -223,7 +223,7 @@ def assert_planar_embedding(result):
     }
 
 
-def gadget_realize(part, prescribed, decomposition=None, face=None):
+def gadget_realize(part, prescribed, decomposition=None, face=None, steiner=None):
     return ref.realize_boundary_order(part, prescribed)
 
 

@@ -79,7 +79,7 @@ def test_split_and_merge_roundtrip(n, graph_seed, split_seed):
 def test_sabotaged_skeleton_raises_out_of_merge_parts(monkeypatch):
     """A skeleton failure is an internal error: it propagates."""
 
-    def broken_skeleton(part, decomposition=None):
+    def broken_skeleton(part, decomposition=None, face=None, steiner=None):
         raise SkeletonError("sabotaged for testing")
 
     monkeypatch.setattr(merges_module, "interface_skeleton", broken_skeleton)

@@ -19,7 +19,7 @@ import random
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.core.interface import block_attachment_order
+from tests.core.interface_reference import block_attachment_order
 from repro.planar import Graph, biconnected_components, planar_embedding
 from repro.planar.generators import random_maximal_planar, theta_graph, wheel_graph
 

@@ -6,20 +6,28 @@
   copy's stub, and every other ring untouched; any other split-off is
   re-embedded exactly as :func:`fresh_part` does;
 * **lone vertex** — its closed-form ring is the LR kernel's;
-* **spies** — through the whole pipeline: one LR embed of P0 per
-  recursion call, none for a lone vertex, none for a spliced split-off,
-  and no ``boundary_order()`` call and one trace of each part's own
-  rotation per merge; a part whose stubs are not on one face still
-  falls back at the point that trace is read.
+* **P0** — the closed-form rings of a path and its stubs
+  (:func:`~repro.core.unrestricted.path_rotation`) are the LR kernel's;
+* **spies** — through the whole pipeline: one P0 part per recursion
+  call and no LR embed of it, none for a lone vertex, none for a spliced
+  split-off, no LR solver built inside ``core/interface.py`` or
+  ``_p0_part``, and no ``boundary_order()`` call and one trace of each
+  part's own rotation per merge; a part whose stubs are not on one face
+  still falls back at the point that trace is read.
 """
 
+import itertools
+import os
 import random
+import sys
+from collections import Counter
 from importlib import import_module
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import repro.core.interface as interface_module
 import repro.core.merges as merges_module
 import repro.core.recursion as recursion_module
 import repro.core.unrestricted as unrestricted_module
@@ -34,14 +42,16 @@ from repro.core import (
 )
 from repro.core.parts import augment_with_stubs, is_stub, stub_node
 from repro.core.recursion import RecursionContext
-from repro.core.unrestricted import adopt_copy
+from repro.core.unrestricted import adopt_copy, path_rotation
 from repro.planar import Graph, RotationError, RotationSystem
 from repro.planar.generators import (
     cycle_graph,
     grid_graph,
+    random_maximal_planar,
     random_outerplanar,
     random_planar,
     random_tree,
+    subdivide,
 )
 from repro.planar.verify import EmbeddingViolation, check_embedding_with_boundary
 from tests.core.test_merge_differential import glued_blocks
@@ -224,19 +234,132 @@ def lr_calls(monkeypatch):
 
 
 def test_one_p0_embed_per_call(lr_calls, monkeypatch):
-    p0_sets = []
+    """One P0 part per recursion call, its rotation in closed form: no LR
+    embed of P0."""
+    p0_sets, built = [], []
     merge = recursion_module.unrestricted_path_merge
+    p0_part = unrestricted_module._MergeDriver._p0_part
 
     def spy_merge(*args, **kwargs):
         p0_sets.append(frozenset(next(a for a in args if isinstance(a, list))))
+        built.append(0)
         return merge(*args, **kwargs)
 
+    def spy_p0_part(self):
+        built[-1] += 1
+        return p0_part(self)
+
     monkeypatch.setattr(recursion_module, "unrestricted_path_merge", spy_merge)
+    monkeypatch.setattr(unrestricted_module._MergeDriver, "_p0_part", spy_p0_part)
     for graph in (random_outerplanar(96, seed=1), grid_graph(6, 6)):
         distributed_planar_embedding(graph)
     assert sum(len(p0) > 1 for p0 in p0_sets) >= 20
-    for p0 in p0_sets:  # a one-vertex P0 is a lone vertex: no LR embed
-        assert lr_calls.count(p0) == (1 if len(p0) > 1 else 0), sorted(p0, key=repr)
+    assert built == [1] * len(p0_sets)
+    for p0 in p0_sets:
+        assert lr_calls.count(p0) == 0, sorted(p0, key=repr)
+
+
+def test_no_lr_solver_from_the_interface_or_p0(monkeypatch):
+    """No LR solver is built inside ``core/interface.py`` or ``_p0_part``
+    (skeleton wheels come from the part's outer face, P0's rotation is
+    closed-form), on runs with wheels and multi-vertex P0s."""
+    solver = lr_module._LRPlanarity
+    builders = Counter()
+
+    class Spy(solver):
+        def __init__(self, graph):
+            frame = sys._getframe(1)
+            while frame is not None:
+                code = frame.f_code
+                if code.co_filename.endswith(os.path.join("core", "interface.py")):
+                    builders["interface"] += 1
+                if code.co_name == "_p0_part":
+                    builders["p0"] += 1
+                frame = frame.f_back
+            builders["all"] += 1
+            super().__init__(graph)
+
+    face_wheels = interface_module.face_wheels
+    seen = Counter()
+
+    def spy_wheels(face, steiner, decomposition):
+        out = face_wheels(face, steiner, decomposition)
+        seen["wheels"] += len(out)
+        return out
+
+    monkeypatch.setattr(lr_module, "_LRPlanarity", Spy)
+    monkeypatch.setattr(interface_module, "face_wheels", spy_wheels)
+    for graph in (
+        subdivide(random_maximal_planar(10, seed=3), 4),
+        random_outerplanar(96, seed=1),
+        random_planar(80, seed=2),
+    ):
+        distributed_planar_embedding(graph)
+    assert builders["all"] > 0 and seen["wheels"] >= 10
+    assert builders["interface"] == 0 and builders["p0"] == 0, builders
+
+
+# -- closed-form P0 ring -------------------------------------------------------
+
+
+def assert_p0_ring_is_the_lr_ring(path, boundary):
+    graph = Graph(nodes=path)
+    for a, b in zip(path, path[1:]):
+        graph.add_edge(a, b)
+    expected = embed_with_boundary(graph, boundary)
+    rotation = path_rotation(path, augment_with_stubs(graph, boundary))
+    assert list(rotation.as_dict().items()) == list(expected.as_dict().items())
+    assert list(rotation.graph.nodes()) == list(expected.graph.nodes())
+
+
+def interleavings(groups):
+    """Every merge of the sequences in ``groups``, each kept in order."""
+    if not any(groups):
+        yield []
+        return
+    for i, group in enumerate(groups):
+        if group:
+            rest = groups[:i] + [group[1:]] + groups[i + 1 :]
+            for tail in interleavings(rest):
+                yield [group[0], *tail]
+
+
+def test_p0_ring_is_the_lr_ring_exhaustively():
+    """Paths of 1-6 vertices with 0-3 stubs each: every interleaving of the
+    vertices' stubs up to 4 stubs in all; beyond, the stubs grouped by
+    vertex and the reversed round-robin order."""
+    checked = 0
+    for k in range(1, 7):
+        path = list(range(k))
+        for counts in itertools.product(range(4), repeat=k):
+            groups = [[(v, 100 + 10 * v + j) for j in range(c)] for v, c in enumerate(counts)]
+            if sum(counts) <= 4:
+                orders = interleavings(groups)
+            else:
+                robin = [h for row in itertools.zip_longest(*groups) for h in row if h]
+                orders = ([h for group in groups for h in group], robin[::-1])
+            for boundary in orders:
+                assert_p0_ring_is_the_lr_ring(path, boundary)
+                checked += 1
+    assert checked > 10_000
+
+
+@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(
+    counts=st.lists(st.integers(0, 6), min_size=2, max_size=10),
+    copies=st.lists(st.booleans(), min_size=10, max_size=10),
+    seed=st.integers(0, 10**6),
+)
+def test_p0_ring_is_the_lr_ring(counts, copies, seed):
+    """Int and ``("copy", ...)`` vertices and targets, shuffled boundary."""
+    path = [("copy", i, (1,), 2) if copies[i] else i for i in range(len(counts))]
+    boundary = [
+        (v, ("copy", 7, (0,), 10 * i + j) if copies[-1 - j % 10] else 1000 + 10 * i + j)
+        for i, (v, c) in enumerate(zip(path, counts))
+        for j in range(c)
+    ]
+    random.Random(seed).shuffle(boundary)
+    assert_p0_ring_is_the_lr_ring(path, boundary)
 
 
 def test_no_lr_embed_for_a_lone_vertex(lr_calls):

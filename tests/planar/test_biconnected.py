@@ -6,7 +6,6 @@ import networkx as nx
 import pytest
 
 from repro.planar import (
-    BlockCutTree,
     Graph,
     articulation_points,
     biconnected_components,
@@ -102,17 +101,34 @@ class TestVsNetworkx:
         assert articulation_points(g) == set(nx.articulation_points(to_nx(g)))
 
 
+def block_cut_tree(decomposition):
+    """The bipartite block-cut graph the Steiner walk of
+    ``repro.core.interface.steiner_blocks`` walks: a block is adjacent to
+    the cut vertices it contains (``components_of`` lists a vertex's
+    blocks)."""
+    tree = Graph()
+    for component in decomposition.components:
+        tree.add_node(("block", component.component_id))
+    for v, blocks in decomposition.components_of.items():
+        if decomposition.is_cut_vertex(v):
+            for b in blocks:
+                tree.add_edge(("cut", v), ("block", b))
+    return tree
+
+
 class TestBlockCutTree:
     def test_is_tree_for_families(self):
         for g in (path_graph(9), theta_graph(3, 4), caterpillar(5, 3),
                   random_planar(30, 45, seed=8)):
-            bct = BlockCutTree(biconnected_components(g))
-            assert bct.is_tree()
+            t = block_cut_tree(biconnected_components(g))
+            assert t.is_connected()
+            assert t.num_edges == t.num_nodes - 1
 
     def test_structure_two_triangles(self):
         g = Graph(edges=[(0, 1), (1, 2), (2, 0), (2, 3), (3, 4), (4, 2)])
-        bct = BlockCutTree(biconnected_components(g))
-        assert len(bct.block_nodes()) == 2
-        assert bct.cut_nodes() == [("cut", 2)]
-        assert len(bct.blocks_at(2)) == 2
-        assert len(bct.blocks_at(0)) == 1
+        decomposition = biconnected_components(g)
+        t = block_cut_tree(decomposition)
+        assert sum(kind == "block" for kind, _ in t.nodes()) == 2
+        assert [node for node in t.nodes() if node[0] == "cut"] == [("cut", 2)]
+        assert len(decomposition.components_of[2]) == 2
+        assert len(decomposition.components_of[0]) == 1

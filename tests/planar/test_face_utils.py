@@ -2,18 +2,6 @@
 
 from repro.planar import planar_embedding, trace_faces
 from repro.planar.generators import cycle_graph, grid_graph, wheel_graph
-from repro.planar.rotation import outer_face_darts
-
-
-def test_outer_face_darts_finds_enclosing_face():
-    rot = planar_embedding(cycle_graph(8))
-    faces = outer_face_darts(rot, [0, 3, 6])
-    assert len(faces) == 2  # both faces of a cycle contain every vertex
-
-
-def test_outer_face_darts_empty_when_not_cofacial():
-    rot = planar_embedding(grid_graph(5, 5))
-    assert outer_face_darts(rot, [0, 12, 24]) == []
 
 
 def test_face_lengths_sum_to_twice_edges():

@@ -1,11 +1,16 @@
-"""The Section 2 preamble: distributed estimation of n and D."""
+"""The Section 2 preamble: distributed estimation of n and D.
+
+``DistributedPlanarEmbedding`` runs it once per embedding (leader
+election, BFS, then one convergecast and one broadcast of ``(n, ecc)``),
+and the result reports what every node learned.
+"""
 
 import pytest
 
-from repro.congest import RoundMetrics
+from repro import distributed_planar_embedding
+from repro.core import DistributedPlanarEmbedding
 from repro.planar import Graph
 from repro.planar.generators import cycle_graph, grid_graph, path_graph, random_tree
-from repro.primitives import estimate_network
 
 
 def true_diameter(g):
@@ -31,32 +36,30 @@ def true_diameter(g):
     ids=["path", "cycle", "grid", "tree"],
 )
 def test_two_approximation(g):
-    est = estimate_network(g)
+    result = distributed_planar_embedding(g)
     d = true_diameter(g)
-    assert est.n == g.num_nodes
-    assert est.diameter_lower <= d <= est.diameter_upper
-    assert est.diameter_upper <= 2 * d  # ecc(root) <= D
+    assert result.known_n == g.num_nodes
+    assert result.bfs_depth <= d <= result.diameter_upper  # ecc(root) <= D
+    assert result.diameter_upper <= 2 * d
 
 
 def test_leader_is_max_id():
-    est = estimate_network(grid_graph(4, 4))
-    assert est.leader == 15
+    assert distributed_planar_embedding(grid_graph(4, 4)).leader == 15
 
 
 def test_single_node():
-    est = estimate_network(Graph(nodes=[3]))
-    assert est == type(est)(n=1, diameter_lower=0, diameter_upper=0, leader=3)
+    result = distributed_planar_embedding(Graph(nodes=[3]))
+    assert (result.leader, result.bfs_depth, result.diameter_upper) == (3, 0, 0)
+    assert result.metrics.rounds == 0
 
 
 def test_empty_rejected():
     with pytest.raises(ValueError):
-        estimate_network(Graph())
+        DistributedPlanarEmbedding(Graph()).run()
 
 
 def test_costs_linear_in_depth():
-    g = path_graph(30)
-    m = RoundMetrics()
-    estimate_network(g, metrics=m)
     # leader flood + BFS + convergecast + broadcast: a few multiples of D
-    assert m.rounds <= 5 * 30
-    assert "estimate-n-D" in m.phase_rounds
+    phases = distributed_planar_embedding(path_graph(30)).metrics.phase_rounds
+    assert phases["leader-election"] + phases["bfs"] + phases["preamble"] <= 5 * 30
+    assert phases["preamble"] <= 2 * 30

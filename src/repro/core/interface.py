@@ -167,20 +167,47 @@ def face_wheels(face: list, steiner: dict, decomposition: BiconnectedDecompositi
     return wheels
 
 
-def skeleton_edge_count(attachments: set, decomposition: BiconnectedDecomposition | None) -> int:
+def skeleton_edge_count(
+    attachments: set, steiner: dict | None, decomposition: BiconnectedDecomposition | None
+) -> int:
     """Edges of the skeleton over ``attachments``, counted without building it.
 
-    A Steiner block with ``r`` relevant vertices gives one edge (``r = 2``)
+    ``steiner`` is :func:`steiner_blocks` over a superset of ``attachments``;
+    dropping leaves that are no terminal of ``attachments`` until none is
+    left gives theirs, with no second walk of the block-cut tree.  A Steiner
+    block with ``r`` relevant vertices gives one edge (``r = 2``)
     or a wheel of ``2r`` (``r >= 3``); smoothing then removes one edge per
     non-attachment of skeleton degree 2, a cut vertex between exactly two
-    one-edge blocks.  ``decomposition`` is unread for one attachment.
+    one-edge blocks.  Nothing else is read for one attachment.
     """
+    if len(attachments) <= 1:
+        return 0
+    components_of = decomposition.components_of
+    near = {("block", b): {("cut", v) for v in vs if len(components_of[v]) > 1}
+            for b, vs in steiner.items()}
+    for block, cuts in list(near.items()):
+        for cut in cuts:
+            near.setdefault(cut, set()).add(block)
+    terminals = {
+        ("cut", u) if len(components_of[u]) > 1 else ("block", components_of[u][0])
+        for u in attachments
+    }
+    leaves = [node for node, nb in near.items() if len(nb) <= 1 and node not in terminals]
+    while leaves:
+        node = leaves.pop()
+        for other in near.pop(node, ()):
+            near[other].discard(node)
+            if len(near[other]) <= 1 and other not in terminals:
+                leaves.append(other)
     edges, degree = 0, {}
-    for vertices in steiner_blocks(attachments, decomposition).values():
-        r = len(vertices)
+    for (kind, b), nb in near.items():
+        if kind == "cut":
+            continue
+        relevant = [v for v in steiner[b] if v in attachments or ("cut", v) in nb]
+        r = len(relevant)
         if r >= 2:
             edges += 1 if r == 2 else 2 * r
-            for v in vertices:
+            for v in relevant:
                 degree[v] = degree.get(v, 0) + (1 if r == 2 else 3)
     return edges - sum(d == 2 and v not in attachments for v, d in degree.items())
 

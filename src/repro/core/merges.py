@@ -16,7 +16,8 @@ All four merging patterns — pairwise, star, vertex-coordinated and
    (*scatter*; words measured) and realizes it internally via block
    flips / permutations (:mod:`repro.core.realize`);
 4. the realized parts and connecting edges assemble into the merged
-   part, which is verified (genus 0, boundary co-facial).
+   part, which is verified at its glue (:func:`_check_glue`: genus 0 and
+   the new boundary co-facial, from the parts' stub cycles alone).
 
 The patterns differ only in *which* paths the gather/scatter traffic
 takes, i.e. in the round charge; the ``charge_*`` helpers compute those
@@ -41,7 +42,7 @@ from ..congest.pipelining import stream_rounds
 from ..planar.graph import Graph, NodeId
 from ..planar.lr_planarity import NonPlanarGraphError, planar_embedding
 from ..planar.rotation import RotationError, RotationSystem, contracted_rotation
-from ..planar.verify import check_embedding_with_boundary
+from ..planar.verify import EmbeddingViolation
 from ..planar.biconnected import biconnected_components
 from .interface import interface_skeleton, skeleton_edge_count, steiner_blocks
 from .parts import (
@@ -88,8 +89,8 @@ class MergeResult:
 
 def _union_graph_and_boundary(
     parts: list[PartEmbedding],
-) -> tuple[Graph, list[HalfEdge], list[tuple[NodeId, NodeId]]]:
-    """The merged graph, its external boundary, and the connecting edges."""
+) -> tuple[Graph, list[HalfEdge], list[tuple[NodeId, NodeId]], dict]:
+    """The merged graph, its external boundary, connecting edges and owners."""
     owner: dict[NodeId, int] = {}
     for p in parts:
         for v in p.graph.nodes():
@@ -115,7 +116,7 @@ def _union_graph_and_boundary(
                     union.add_edge(u, x)
             else:
                 new_boundary.append((u, x))
-    return union, new_boundary, connecting
+    return union, new_boundary, connecting, owner
 
 
 def merge_parts(parts: list[PartEmbedding]) -> MergeResult:
@@ -133,27 +134,31 @@ def merge_parts(parts: list[PartEmbedding]) -> MergeResult:
         p = parts[0]
         return MergeResult(part=p, part_depths={p.part_id: p.depth})
 
-    union, new_boundary, connecting = _union_graph_and_boundary(parts)
-    if not union.is_connected():
+    union, new_boundary, connecting, owner = _union_graph_and_boundary(parts)
+    # Each part is connected, so the union is iff the graph of the parts is.
+    linked: dict = {p.part_id: set() for p in parts}
+    for u, x in connecting:
+        linked[owner[u]].add(owner[x])
+        linked[owner[x]].add(owner[u])
+    reached, stack = {parts[0].part_id}, [parts[0].part_id]
+    while stack:
+        new = linked[stack.pop()] - reached
+        reached |= new
+        stack += new
+    if len(reached) < len(parts):
         raise ValueError("merged parts must be connected via half-embedded edges")
 
     result = MergeResult(part=None)  # type: ignore[arg-type]
     result.part_depths = {p.part_id: p.depth for p in parts}
-
-    owner_of: dict[NodeId, int] = {v: p.part_id for p in parts for v in p.graph.nodes()}
-    connecting_count: dict[int, int] = {}
-    for p in parts:
-        lanes = sum(
-            1 for _, x in p.boundary if x in owner_of and owner_of[x] != p.part_id
-        )
-        connecting_count[p.part_id] = max(1, lanes)
-    result.attachment_edges = connecting_count
-    result.part = _skeleton_merge(parts, union, new_boundary, connecting, result)
+    result.attachment_edges = {
+        p.part_id: max(1, sum(x in owner for _, x in p.boundary)) for p in parts
+    }
+    result.part = _skeleton_merge(parts, union, new_boundary, connecting, owner, result)
     return result
 
 
 def _reduced_summary_words(
-    p: PartEmbedding, connecting_set: set, face: list, decomposition=None
+    p: PartEmbedding, connecting_set: set, face: list, decomposition=None, steiner=None
 ) -> int:
     """Words of the *merge-relevant* compressed summary of ``p``.
 
@@ -167,7 +172,7 @@ def _reduced_summary_words(
     (capacity-restricted) coordinator edges; the detailed alignment of a
     run's own half-edges is settled by the later merge that consumes it.
     The block structure is the skeleton over the participating
-    attachments, counted from ``decomposition`` without being built.
+    attachments, counted from the part's ``steiner`` blocks unbuilt.
     The runs are read off ``face``, the part's outer face
     (:meth:`PartEmbedding.outer_face`), whose stubs come in boundary-walk
     order.
@@ -189,8 +194,57 @@ def _reduced_summary_words(
         if not is_p and prev_participating:
             runs += 1
         prev_participating = is_p
-    sk_edges = skeleton_edge_count({u for u, _ in participating}, decomposition)
+    sk_edges = skeleton_edge_count({u for u, _ in participating}, steiner, decomposition)
     return 2 * sk_edges + len(participating) + runs + 1
+
+
+def _check_glue(orders: list[list[HalfEdge]], owner: dict) -> None:
+    """Verify a merge at its glue: raise :class:`EmbeddingViolation` unless
+    the parts, whose half-edges lie in the cyclic ``orders`` (one per
+    part), glue along their connecting half-edges (those whose target
+    ``owner`` holds) into a planar part whose other half-edges share a face.
+
+    With ``next`` the successor in a half-edge's own order, let
+    ``phi(u, x) = next(x, u)`` for a connecting half-edge and ``next(h)``
+    for an external one.  If each realized part has genus 0 and its stubs
+    on one face in its order, a merged face through a half-edge runs along
+    one part's outer face from a stub to the next, so those faces are the
+    cycles of ``phi``; every other face is an untouched inner face of one
+    part.  So ``F = sum(F_i - 1) + cycles(phi)`` with ``F_i = 2 - V_i +
+    E_i``, and Euler's formula for the merged part reduces to ``k -
+    connecting + cycles(phi) = 2`` on the contracted graph of its ``k``
+    parts (Figure 1(b)).  Realization's walk and move checks give the
+    premise for three or more stubs, the word count's face trace for any
+    number; each producer of a part owns its genus 0 (``fresh_part`` by the
+    LR kernel, ``adopt_copy``'s splice and ``path_rotation`` under tier-1
+    differentials, ``assemble`` by its genus check, a merge by this one).
+    O(boundary), where tracing the merged part's faces is O(part).
+    """
+    succ: dict = {}
+    for order in orders:
+        succ.update(zip(order, order[1:] + order[:1]))
+    seen: set = set()
+    cycles = connecting = 0
+    faces = set()  # the cycles holding external half-edges
+    for h in succ:
+        if h in seen:
+            continue
+        cycles += 1
+        while h not in seen:  # walk one cycle of phi
+            seen.add(h)
+            u, x = h
+            if x in owner:
+                connecting += 1
+                if (x, u) not in succ:
+                    raise EmbeddingViolation(f"connecting half-edge {h!r} has no partner")
+                h = succ[x, u]
+            else:
+                faces.add(cycles)
+                h = succ[h]
+    if len(orders) - connecting // 2 + cycles != 2:
+        raise EmbeddingViolation("not a planar embedding")
+    if len(faces) > 1:
+        raise EmbeddingViolation(f"the external half-edges lie on {len(faces)} faces")
 
 
 def _skeleton_merge(
@@ -198,6 +252,7 @@ def _skeleton_merge(
     union: Graph,
     new_boundary: list[HalfEdge],
     connecting: list[tuple[NodeId, NodeId]],
+    owner: dict,
     result: MergeResult,
 ) -> PartEmbedding:
     """The skeleton-based merge: steps 1-4 of the module docstring."""
@@ -218,7 +273,7 @@ def _skeleton_merge(
         shared[p.part_id] = decomp, face, steiner
         skeletons[p.part_id] = interface_skeleton(p, decomp, face, steiner)
         result.up_words[p.part_id] = _reduced_summary_words(
-            p, connecting_keys, face, decomposition=decomp
+            p, connecting_keys, face, decomposition=decomp, steiner=steiner
         )
 
     # The coordinator's instance: skeleton union + connecting edges + rest.
@@ -251,7 +306,9 @@ def _skeleton_merge(
     for u in external_at:
         external_at[u].sort(key=repr)
 
+    augmented = augment_with_stubs(union, new_boundary)
     merged_order: dict[NodeId, tuple] = {}
+    orders = []
     for p in parts:
         sk = skeletons[p.part_id]
         walk = contracted_rotation(instance_rotation, set(sk.graph.nodes()))
@@ -269,32 +326,30 @@ def _skeleton_merge(
         result.down_words[p.part_id] = result.up_words[p.part_id]
         decomp, face, steiner = shared[p.part_id]
         realized = realize_boundary_order(p, prescribed, decomp, face, steiner)
+        orders.append(prescribed)
         # Fold the realized rotations into the merged part.  Only rings of
         # attachment vertices hold stubs: there the stubs of connecting
-        # edges resolve into real neighbours, and external ones stay.
+        # edges resolve into real neighbours, and external ones stay.  The
+        # realized rings are trusted; a resolved one must be a permutation.
         for v in p.graph:
             merged_order[v] = realized.order(v)
         resolve = {
             stub_node(h): h[1] for h in p.boundary if frozenset(h) in connecting_keys
         }
         for u in {s[1] for s in resolve}:
-            merged_order[u] = tuple(resolve.get(nb, nb) for nb in merged_order[u])
-
-    merged_graph = union
-    augmented = augment_with_stubs(merged_graph, new_boundary)
+            ring = merged_order[u] = tuple(resolve.get(nb, nb) for nb in merged_order[u])
+            if len(ring) != augmented.degree(u) or set(ring) != set(augmented.neighbors(u)):
+                raise EmbeddingViolation(f"merged ring at {u!r} is not a permutation")
+    _check_glue(orders, owner)
     for h in new_boundary:
         merged_order[stub_node(h)] = (h[0],)
-    merged_rotation = RotationSystem(augmented, merged_order)
-
-    merged = PartEmbedding(
+    return PartEmbedding(
         part_id=min(p.part_id for p in parts),
-        graph=merged_graph,
+        graph=union,
         boundary=new_boundary,
-        rotation=merged_rotation,
-        depth=graph_depth(merged_graph),
+        rotation=RotationSystem.trusted(augmented, merged_order),
+        depth=graph_depth(union),
     )
-    check_embedding_with_boundary(merged_rotation, [stub_node(h) for h in new_boundary])
-    return merged
 
 
 # -- round charging for the four merge patterns (Section 5.2) --------------

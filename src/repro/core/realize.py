@@ -26,11 +26,14 @@ order, its reverse, or the order is outside the interface.  Blocks flip
 independently: reversed rings keep a block's faces, and items that do
 not interleave around a cut vertex keep the genus at zero.
 
+The merge's glue check (:func:`repro.core.merges._check_glue`) rests on
+:func:`_check_move`, run on every ring the moves rewrite or flip, and on
+the final check of the new walk, the one trace of the new rotation.
+
 The merge traces each part's outer face once, for its summary's word
 count, and hands that trace in: realization starts it at the first
-prescribed stub instead of tracing it again.  Only the final check of
-the new walk traces the new rotation.  The merge hands in the part's
-Steiner blocks too, which its skeleton was built from.
+prescribed stub instead of tracing it again.  The merge hands in the
+part's Steiner blocks too, which its skeleton was built from.
 """
 
 from __future__ import annotations
@@ -66,6 +69,33 @@ def cyclic_equal(a: Sequence, b: Sequence) -> bool:
         if x == first and doubled[i : i + n] == la:
             return True
     return False
+
+
+def _check_move(ring: Sequence, edges: dict, flipped: set) -> None:
+    """Raise :class:`RealizationError` unless ``ring`` is an Observation 3.2
+    move of the ring whose items (blocks and stubs) hold ``edges``, each
+    item's neighbours in their old cyclic order: a permutation of them in
+    which every block keeps its order, reversed iff it is ``flipped``, and
+    no two items interleave.  Genus is additive over blocks whose items do
+    not interleave at cut vertices, and a flipped block is a mirror image."""
+    item_of = {w: x for x, ws in edges.items() for w in ws}
+    if len(ring) != len(item_of) or item_of.keys() != set(ring):
+        raise RealizationError(f"moved ring {ring!r} is not a permutation of the old one")
+    moved: dict = {}  # item -> its neighbours in ring order
+    stack: list = []  # items nest like brackets (at any cut of a cyclic order)
+    for w in ring:
+        x = item_of[w]
+        if not stack or stack[-1] != x:
+            if x in moved:
+                raise RealizationError(f"moved ring {ring!r} interleaves item {x!r}")
+            moved[x] = []
+            stack.append(x)
+        moved[x].append(w)
+        if len(moved[x]) == len(edges[x]):
+            stack.pop()
+    for x, ws in moved.items():
+        if len(ws) >= 3 and not cyclic_equal(ws, edges[x][::-1] if x in flipped else edges[x]):
+            raise RealizationError(f"moved ring {ring!r} neither keeps nor flips block {x!r}")
 
 
 def realize_boundary_order(
@@ -198,7 +228,10 @@ def realize_boundary_order(
             for w in segment[::-1] if flip else segment:
                 run = runs.get(w, [])
                 ring += run + [w] if flip else [w] + run
-        if not cyclic_equal(ring, old):
+        rewritten = not cyclic_equal(ring, old)
+        if rewritten or (flipped and any(len(edges[b]) >= 3 for b in flipped & edges.keys())):
+            _check_move(ring, edges, flipped)
+        if rewritten:
             order[v] = tuple(ring)
 
     realized = RotationSystem.trusted(rotation.graph, order)

@@ -9,10 +9,10 @@ planar drawing.  This module checks such an output globally:
    systems are in bijection with embeddings into orientable surfaces, and
    genus 0 means planar).
 
-It also provides ``check_embedding_with_boundary`` used by the merge
-machinery: a part's embedding is acceptable only if all of its
-half-embedded attachment vertices lie on one common face (the consequence
-of the safety property, Definition 3.1 / Figure 1).
+It also provides ``check_embedding_with_boundary`` for tests and
+benchmarks (a merge checks itself at its glue): a part's embedding is
+acceptable only if all of its half-embedded attachment vertices lie on
+one face (the consequence of the safety property, Definition 3.1).
 """
 
 from __future__ import annotations

@@ -227,7 +227,7 @@ def gadget_realize(part, prescribed, decomposition=None, face=None, steiner=None
     return ref.realize_boundary_order(part, prescribed)
 
 
-def second_skeleton_words(p, connecting_set, face, decomposition=None):
+def second_skeleton_words(p, connecting_set, face, decomposition=None, steiner=None):
     return ref._reduced_summary_words(p, connecting_set)
 
 
@@ -247,8 +247,8 @@ def test_reduced_words_match_reference(family, make, monkeypatch):
     counted = merges_module._reduced_summary_words
     pairs = []
 
-    def both(p, connecting_set, face, decomposition=None):
-        words = counted(p, connecting_set, face, decomposition=decomposition)
+    def both(p, connecting_set, face, decomposition=None, steiner=None):
+        words = counted(p, connecting_set, face, decomposition=decomposition, steiner=steiner)
         pairs.append((words, ref._reduced_summary_words(p, connecting_set)))
         return words
 

@@ -3,8 +3,9 @@
 The decomposition must deliver valid disjoint induced V-stars plus a
 partition of the contracted graph into color-distinct chains, within a
 number of super-rounds that does not grow with the graph (the paper's
-O(1), our O(log* n) <= small-constant variant), and it must make real
-merge progress: a constant fraction of nodes gets grouped.
+O(1); ours runs min-color pointers, a min-ID independence round and
+pointer-forest chains in five super-rounds on every input), and it must
+make real merge progress: a constant fraction of nodes gets grouped.
 """
 
 import random

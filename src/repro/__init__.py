@@ -14,7 +14,7 @@ Packages:
 * ``repro.congest``    — the CONGEST model simulator (rounds, bandwidth,
   metrics, pipelined cost formulas);
 * ``repro.primitives`` — distributed building blocks as real node
-  programs (leader election, BFS, convergecast, splitter, coloring);
+  programs (leader election, BFS, convergecast, splitter);
 * ``repro.planar``     — the centralized planar toolkit (rotation
   systems, LR planarity kernel, biconnectivity, generators, verifier);
 * ``repro.core``       — the paper's algorithm (parts, interfaces,

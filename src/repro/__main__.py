@@ -116,6 +116,7 @@ import contextlib
 import functools
 import json
 import math
+import re
 import sys
 import time
 import traceback
@@ -127,12 +128,14 @@ from .planar.generators import demo_graph
 from .planar.kuratowski import classify_kuratowski, kuratowski_subgraph
 from .planar.verify import EmbeddingViolation
 
+_INT_ID = re.compile(r"-?[0-9]+")  # ASCII digits only, unlike str.isdigit
+
 
 def load_edgelist(path: str) -> Graph:
     """Read one ``u v`` edge a line (``#`` starts a comment).  IDs that
-    parse as integers are ints, the rest strings; a file may not mix the
-    two, because the pipeline orders node IDs.  Raises ``ValueError`` on a
-    malformed file."""
+    are ASCII ``-?[0-9]+`` are ints, the rest strings; a file may not mix
+    the two, because the pipeline orders node IDs.  Raises ``ValueError``
+    on a malformed file."""
     graph = Graph()
     kind = None
     with open(path) as f:
@@ -143,7 +146,7 @@ def load_edgelist(path: str) -> Graph:
             parts = body.split()
             if len(parts) != 2:
                 raise ValueError(f"{path}:{lineno}: expected two node IDs, got {body!r}")
-            u, v = (int(p) if p.lstrip('-').isdigit() else p for p in parts)
+            u, v = (int(p) if _INT_ID.fullmatch(p) else p for p in parts)
             kind = kind or type(u)
             if type(u) is not kind or type(v) is not kind:
                 raise ValueError(f"{path}:{lineno}: node IDs mix integers and strings")

@@ -37,13 +37,7 @@ from .network import (
     scheduler_override,
 )
 from .node import NodeProgram
-from .pipelining import (
-    aggregate_rounds,
-    broadcast_rounds,
-    convergecast_rounds,
-    gather_scatter_rounds,
-    stream_rounds,
-)
+from .pipelining import stream_rounds
 from .reliable import ReliableProgram, run_reliable
 
 __all__ = [
@@ -73,10 +67,6 @@ __all__ = [
     "ReliableProgram",
     "run_reliable",
     "stream_rounds",
-    "convergecast_rounds",
-    "broadcast_rounds",
-    "aggregate_rounds",
-    "gather_scatter_rounds",
     "CongestError",
     "BandwidthExceededError",
     "RoundLimitExceededError",

@@ -6,32 +6,22 @@ designated part vertex — "can actually be simulated in O(D) rounds on a
 BFS of the part, using standard upcast and downcast techniques.  We skip
 stating the exact details ... as they are standard."
 
-This module supplies those standard costs *exactly*, so that charged
-rounds come from measured quantities instead of asymptotic hand-waving:
-
-* streaming ``W`` words along a path with ``d`` hops, one word per edge
-  per round, takes ``d + W - 1`` rounds (classic pipelining);
-* a convergecast of ``W`` total words to the root of a tree of depth
-  ``d`` takes at most ``d + W - 1`` rounds (the root receives at most one
-  word per round per child subtree after the pipeline fills);
-* an aggregate (max/min/sum — one word per node, combining en route)
-  takes exactly ``d`` rounds up, ``d`` rounds down to broadcast back.
-
-All functions take the per-round edge budget in words (``bandwidth``), so
-experiments can study the effect of the CONGEST constant.
+This module supplies the one standard cost the merges charge *exactly*,
+so that charged rounds come from measured quantities instead of
+asymptotic hand-waving: streaming ``W`` words along a path with ``d``
+hops, ``bandwidth`` words per edge per round, takes
+``d + ceil(W / bandwidth) - 1`` rounds (classic pipelining).  A
+convergecast or a broadcast of ``W`` words over a tree of depth ``d``
+costs the same (the root drains or feeds at least ``bandwidth`` words a
+round once the pipeline is full), so :mod:`repro.core.merges` charges
+every gather and scatter through :func:`stream_rounds`.
 """
 
 from __future__ import annotations
 
 import math
 
-__all__ = [
-    "stream_rounds",
-    "convergecast_rounds",
-    "aggregate_rounds",
-    "broadcast_rounds",
-    "gather_scatter_rounds",
-]
+__all__ = ["stream_rounds"]
 
 
 def stream_rounds(hops: int, words: int, bandwidth: int = 1) -> int:
@@ -43,30 +33,3 @@ def stream_rounds(hops: int, words: int, bandwidth: int = 1) -> int:
     packets = math.ceil(words / bandwidth)
     return hops + packets - 1
 
-
-def convergecast_rounds(depth: int, total_words: int, bandwidth: int = 1) -> int:
-    """Rounds to gather ``total_words`` words of payload at a tree root.
-
-    Upper bound ``depth + ceil(W/bandwidth) - 1``: once the pipeline is
-    full the root drains at least ``bandwidth`` words per round.
-    """
-    return stream_rounds(depth, total_words, bandwidth)
-
-
-def broadcast_rounds(depth: int, total_words: int, bandwidth: int = 1) -> int:
-    """Rounds to push ``total_words`` words from the root to everyone."""
-    return stream_rounds(depth, total_words, bandwidth)
-
-
-def aggregate_rounds(depth: int, repetitions: int = 1) -> int:
-    """Rounds for ``repetitions`` single-word aggregates (up) + broadcasts (down)."""
-    if depth < 0 or repetitions < 0:
-        raise ValueError("depth and repetitions must be >= 0")
-    return 2 * depth * repetitions
-
-
-def gather_scatter_rounds(depth: int, up_words: int, down_words: int, bandwidth: int = 1) -> int:
-    """A full coordinated exchange: gather summaries, then scatter decisions."""
-    return convergecast_rounds(depth, up_words, bandwidth) + broadcast_rounds(
-        depth, down_words, bandwidth
-    )

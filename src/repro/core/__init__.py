@@ -23,10 +23,8 @@ from .baseline import trivial_baseline_embedding
 from .interface import InterfaceSkeleton, SkeletonError, interface_skeleton
 from .merges import (
     MergeResult,
-    charge_pairwise_merge,
+    charge_merge_stage,
     charge_path_coordinated_merge,
-    charge_star_merge,
-    charge_vertex_coordinated_merge,
     merge_parts,
 )
 from .parts import (
@@ -59,9 +57,7 @@ __all__ = [
     "SkeletonError",
     "merge_parts",
     "MergeResult",
-    "charge_pairwise_merge",
-    "charge_star_merge",
-    "charge_vertex_coordinated_merge",
+    "charge_merge_stage",
     "charge_path_coordinated_merge",
     "realize_boundary_order",
     "RealizationError",

@@ -66,20 +66,21 @@ def _smooth_chains(skeleton: Graph, keep: set) -> None:
     Chains of blocks between attachments carry no embedding freedom, so
     the compressed summary replaces each by a single edge — this is what
     makes the skeleton size O(boundary) instead of O(part diameter).
+
+    One pass finds every such vertex.  Contracting ``v`` between ``a``
+    and ``b`` leaves every other degree unchanged: ``a`` and ``b`` trade
+    ``v`` for each other, and they are never already adjacent, because
+    the skeleton's blocks and cut vertices form a tree.  So no vertex
+    becomes contractible after the pass has looked at it.
     """
-    changed = True
-    while changed:
-        changed = False
-        for v in list(skeleton.nodes()):
-            if v in keep or skeleton.degree(v) != 2:
-                continue
-            if isinstance(v, tuple) and len(v) == 3 and v[0] == "hub":
-                continue
-            a, b = skeleton.neighbors(v)
-            skeleton.remove_node(v)
-            if a != b:
-                skeleton.add_edge(a, b)
-            changed = True
+    for v in list(skeleton.nodes()):
+        if v in keep or skeleton.degree(v) != 2:
+            continue
+        if isinstance(v, tuple) and len(v) == 3 and v[0] == "hub":
+            continue
+        a, b = skeleton.neighbors(v)
+        skeleton.remove_node(v)
+        skeleton.add_edge(a, b)
 
 
 def steiner_blocks(attachments: set, decomposition: BiconnectedDecomposition) -> dict:

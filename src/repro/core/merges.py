@@ -20,9 +20,12 @@ All four merging patterns — pairwise, star, vertex-coordinated and
    the new boundary co-facial, from the parts' stub cycles alone).
 
 The patterns differ only in *which* paths the gather/scatter traffic
-takes, i.e. in the round charge; the ``charge_*`` helpers compute those
-from measured part depths and payload sizes via the pipelined-cost
-formulas of :mod:`repro.congest.pipelining`.
+takes, i.e. in the round charge: :func:`charge_merge_stage` charges a
+stage of parallel vertex-coordinated merges (the cluster, V-star and
+chain stages of :mod:`repro.core.unrestricted`) and
+:func:`charge_path_coordinated_merge` the final merge along ``P0``, both
+from measured part depths and payload sizes via
+:func:`~repro.congest.pipelining.stream_rounds`.
 
 On a safe partition (Definition 3.1) the coordinator's instance is
 planar exactly when the parts admit a planar arrangement (Observation
@@ -59,9 +62,7 @@ from .realize import realize_boundary_order
 __all__ = [
     "MergeResult",
     "merge_parts",
-    "charge_pairwise_merge",
-    "charge_star_merge",
-    "charge_vertex_coordinated_merge",
+    "charge_merge_stage",
     "charge_path_coordinated_merge",
 ]
 
@@ -383,39 +384,24 @@ def vertex_coordinated_rounds(result: MergeResult, bandwidth: int = 1) -> int:
     return up + down
 
 
-def charge_pairwise_merge(
-    metrics: RoundMetrics, result: MergeResult, bandwidth: int = 1, detail: str = ""
-) -> int:
-    """Pairwise merge: summaries cross the single connecting edge."""
-    return charge_vertex_coordinated_merge(
-        metrics, result, bandwidth, phase="merge:pairwise", detail=detail
-    )
-
-
-def charge_star_merge(
-    metrics: RoundMetrics, result: MergeResult, bandwidth: int = 1, detail: str = ""
-) -> int:
-    """Star merge: l pairwise merges with a shared center, in parallel.
-
-    Each leaf's exchange with the center is independent (distinct center
-    edges), so the round cost is the max over leaves, exactly why the
-    paper insists star merges parallelize.
-    """
-    return charge_vertex_coordinated_merge(
-        metrics, result, bandwidth, phase="merge:star", detail=detail
-    )
-
-
-def charge_vertex_coordinated_merge(
+def charge_merge_stage(
     metrics: RoundMetrics,
-    result: MergeResult,
+    results: list[MergeResult],
+    phase: str,
     bandwidth: int = 1,
-    phase: str = "merge:vertex",
     detail: str = "",
 ) -> int:
-    """Vertex-coordinated merge: every part talks to one coordinator vertex."""
-    rounds = vertex_coordinated_rounds(result, bandwidth)
-    metrics.charge(phase, rounds, result.total_up + result.total_down, detail)
+    """Charge one stage of parallel vertex-coordinated merges.
+
+    The stage's merges touch disjoint parts and run concurrently, so it
+    costs its slowest merge's :func:`vertex_coordinated_rounds` and the
+    words of all of them.  An empty stage charges nothing.
+    """
+    if not results:
+        return 0
+    rounds = max(vertex_coordinated_rounds(r, bandwidth) for r in results)
+    words = sum(r.total_up + r.total_down for r in results)
+    metrics.charge(phase, rounds, words, detail)
     return rounds
 
 

@@ -184,9 +184,6 @@ class PartEmbedding:
         """Trivial parts induce trees (paper Section 3)."""
         return self.graph.num_edges == self.graph.num_nodes - 1
 
-    def boundary_targets(self) -> set[NodeId]:
-        return {x for _, x in self.boundary}
-
     def attachments(self) -> list[NodeId]:
         """Distinct part vertices incident to half-embedded edges, in order."""
         seen: set[NodeId] = set()

@@ -53,9 +53,9 @@ from ..planar.rotation import RotationSystem
 from .assembly import assemble, two_terminal_bundles
 from .merges import (
     MergeResult,
+    charge_merge_stage,
     charge_path_coordinated_merge,
     merge_parts,
-    vertex_coordinated_rounds,
 )
 from .parts import (
     HalfEdge,
@@ -340,9 +340,10 @@ class _MergeDriver:
         groups: dict[int, list[int]] = {}
         for pid, i in low.items():
             groups.setdefault(i, []).append(pid)
+        # Clusters at different coordinators are vertex-disjoint and merge
+        # in parallel.
         adjacency = self._part_adjacency(participants)
-        stage_rounds = []
-        stage_words = 0
+        stage = []
         for i in sorted(groups):
             for cluster in _cluster(groups[i], adjacency):
                 if len(cluster) < 2:
@@ -353,17 +354,11 @@ class _MergeDriver:
                     if pid != new_id:
                         low.pop(pid, None)
                 low[new_id] = i
-                stage_rounds.append(vertex_coordinated_rounds(result, self.bandwidth))
-                stage_words += result.total_up + result.total_down
-        if stage_rounds:
-            # Clusters at different coordinators are vertex-disjoint and
-            # merge in parallel; the stage costs their maximum.
-            self.metrics.charge(
-                "merge:vertex",
-                max(stage_rounds),
-                stage_words,
-                detail=f"iter{iteration}: {len(stage_rounds)} parallel clusters",
-            )
+                stage.append(result)
+        charge_merge_stage(
+            self.metrics, stage, "merge:vertex", self.bandwidth,
+            f"iter{iteration}: {len(stage)} parallel clusters",
+        )
 
         # (c)-(e): discharge pendants, freeze externals, split off copies.
         deliveries = []
@@ -423,8 +418,7 @@ class _MergeDriver:
 
         # (g) V-star merges (disjoint stars merge in parallel).
         representative = {pid: pid for pid in participants}
-        stage_rounds = []
-        stage_words = 0
+        stage = []
         for center, leaves in decomposition.stars:
             members = [center, *leaves]
             result = merge_parts([self.active[pid] for pid in members])
@@ -432,19 +426,14 @@ class _MergeDriver:
             low[new_id] = min(low[pid] for pid in members)
             for pid in members:
                 representative[pid] = new_id
-            stage_rounds.append(vertex_coordinated_rounds(result, self.bandwidth))
-            stage_words += result.total_up + result.total_down
-        if stage_rounds:
-            self.metrics.charge(
-                "merge:star",
-                max(stage_rounds),
-                stage_words,
-                detail=f"iter{iteration}: {len(stage_rounds)} parallel V-stars",
-            )
+            stage.append(result)
+        charge_merge_stage(
+            self.metrics, stage, "merge:star", self.bandwidth,
+            f"iter{iteration}: {len(stage)} parallel V-stars",
+        )
 
         # (h)-(i) chain merges / parking (disjoint chains merge in parallel).
-        stage_rounds = []
-        stage_words = 0
+        stage = []
         for chain in decomposition.chains:
             current = sorted({representative[pid] for pid in chain})
             if len(current) <= 1:
@@ -453,18 +442,14 @@ class _MergeDriver:
                 result = merge_parts([self.active[pid] for pid in current])
                 new_id = self._replace_part(current, result)
                 low[new_id] = min(low[pid] for pid in current)
-                stage_rounds.append(vertex_coordinated_rounds(result, self.bandwidth))
-                stage_words += result.total_up + result.total_down
+                stage.append(result)
             else:
                 self.skip_iteration.update(current)
                 self.stats.parked_chain_parts += len(current)
-        if stage_rounds:
-            self.metrics.charge(
-                "merge:star",
-                max(stage_rounds),
-                stage_words,
-                detail=f"iter{iteration}: {len(stage_rounds)} parallel chain merges",
-            )
+        charge_merge_stage(
+            self.metrics, stage, "merge:star", self.bandwidth,
+            f"iter{iteration}: {len(stage)} parallel chain merges",
+        )
 
     def _split_off_copy(self, pid: int, coordinator: NodeId) -> None:
         """Step 2(e): adopt a secondary copy of the coordinator vertex."""

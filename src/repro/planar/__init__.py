@@ -5,14 +5,12 @@ poly(n) in footnote 3); this package provides everything a node - or a
 merge coordinator - computes locally: graphs with canonical edge IDs,
 rotation systems with face/genus machinery, a from-scratch left-right
 planarity kernel (the [HT74] stand-in), biconnected decompositions
-(Observation 3.2), outerplanarity recognition (Lemma 5.3 inputs), the
-workload generators, and the embedding verifier.
+(Observation 3.2), the workload generators, and the embedding verifier.
 """
 
 from .biconnected import (
     BiconnectedComponent,
     BiconnectedDecomposition,
-    articulation_points,
     biconnected_components,
 )
 from .dual import DualGraph, dual_graph
@@ -26,7 +24,6 @@ from .lr_planarity import (
     planar_embedding,
 )
 from .scoped import ScopedPlanarityOracle
-from .outerplanar import is_outerplanar, outer_face_order, outerplanar_embedding
 from .rotation import (
     RotationError,
     RotationSystem,
@@ -64,14 +61,10 @@ __all__ = [
     "BiconnectedComponent",
     "BiconnectedDecomposition",
     "biconnected_components",
-    "articulation_points",
     "kuratowski_subgraph",
     "classify_kuratowski",
     "DualGraph",
     "dual_graph",
-    "is_outerplanar",
-    "outerplanar_embedding",
-    "outer_face_order",
     "EmbeddingViolation",
     "verify_planar_embedding",
     "verify_rotation_system",

@@ -23,7 +23,6 @@ __all__ = [
     "BiconnectedComponent",
     "BiconnectedDecomposition",
     "biconnected_components",
-    "articulation_points",
 ]
 
 
@@ -147,9 +146,4 @@ def biconnected_components(graph: Graph) -> BiconnectedDecomposition:
     for v in decomposition.components_of:
         decomposition.components_of[v].sort(key=repr)
     return decomposition
-
-
-def articulation_points(graph: Graph) -> set[NodeId]:
-    """Cut vertices of ``graph``."""
-    return biconnected_components(graph).cut_vertices()
 

@@ -32,9 +32,9 @@ order-preserving — adjacency lists keep their insertion order, and the
 nesting-depth sorts are stable — so the emitted rotation system is
 exactly the one the algorithm would produce on the original labels.
 
-Callers that only need the verdict (e.g. the scoped split-validation
-oracle) can use :func:`lr_is_planar`, which runs the orientation and
-testing passes and skips the embedding phase entirely.
+Callers that only need the verdict (the Kuratowski witness search) can
+use :func:`is_planar` or :func:`lr_is_planar`, which run the orientation
+and testing passes and skip the embedding phase entirely.
 
 CONGEST context: nodes have unbounded local computation, so the
 distributed algorithm's coordinators may run this kernel locally on the
@@ -59,40 +59,25 @@ class NonPlanarGraphError(ValueError):
     """Raised when an embedding is requested for a non-planar graph."""
 
 
-# Structural memoization: the solver relabels nodes to ``0..n-1`` in
-# insertion order, and every pass afterwards is a pure function of the
-# relabeled adjacency structure ``tuple(tuple(ints), ...)``.  Two graphs
-# with the same structure therefore get the same verdict and the same
-# int-level rotations — only the final int->node mapping differs.  The
-# recursion embeds thousands of small parts (leaf stars, short paths,
-# small split-off parts) that collide on structure constantly, so
-# both the verdict and the embedding are cached per structure.  Caches
-# are cleared wholesale when full.
+# Structural memoization of embeddings: the solver relabels nodes to
+# ``0..n-1`` in insertion order, and every pass afterwards is a pure
+# function of the relabeled adjacency structure ``tuple(tuple(ints), ...)``.
+# Two graphs with the same structure therefore get the same int-level
+# rotations — only the final int->node mapping differs.  The recursion
+# embeds thousands of small parts (leaf stars, short paths, small
+# split-off parts) that collide on structure constantly.  The memo is
+# cleared wholesale when full.  Decisions are not memoized: the
+# Kuratowski witness search, their one caller in the pipeline, asks about
+# a new structure every time (one edge removed, or re-added at the back
+# of the adjacency).
 _MEMO_MISS = object()
-_DECIDE_MEMO: dict[tuple, bool] = {}
 _EMBED_MEMO: dict[tuple, tuple[tuple[int, ...], ...] | None] = {}
 _MEMO_MAX_ENTRIES = 1 << 12
 
 
-def _memo_decide(graph: Graph) -> bool:
-    solver = _LRPlanarity(graph)
-    key = tuple(map(tuple, solver.adj))
-    verdict = _DECIDE_MEMO.get(key)
-    if verdict is None:
-        embedded = _EMBED_MEMO.get(key, _MEMO_MISS)
-        if embedded is not _MEMO_MISS:
-            verdict = embedded is not None
-        else:
-            verdict = solver.decide()
-        if len(_DECIDE_MEMO) >= _MEMO_MAX_ENTRIES:
-            _DECIDE_MEMO.clear()
-        _DECIDE_MEMO[key] = verdict
-    return verdict
-
-
 def is_planar(graph: Graph) -> bool:
     """True iff ``graph`` is planar (decision only; no embedding built)."""
-    return _memo_decide(graph)
+    return _LRPlanarity(graph).decide()
 
 
 def lr_is_planar(graph: Graph) -> bool:
@@ -102,7 +87,7 @@ def lr_is_planar(graph: Graph) -> bool:
     embedding pass never changes the outcome) at roughly two thirds of
     the cost; use it wherever the rotation system itself is not needed.
     """
-    return _memo_decide(graph)
+    return _LRPlanarity(graph).decide()
 
 
 def planar_embedding(graph: Graph) -> RotationSystem:
@@ -297,17 +282,6 @@ class _LRPlanarity:
             if not self._dfs_testing(root):
                 return False
         return True
-
-    def run(self) -> RotationSystem | None:
-        rings = self.int_rotations()
-        if rings is None:
-            return None
-        nodes = self.nodes
-        order = {
-            nodes[v]: tuple(nodes[w] for w in ring)
-            for v, ring in enumerate(rings)
-        }
-        return RotationSystem.trusted(self.graph, order)
 
     def int_rotations(self) -> tuple[tuple[int, ...], ...] | None:
         """Per-vertex clockwise rings over the int relabeling (or None).

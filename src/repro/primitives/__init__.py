@@ -7,12 +7,6 @@ from .aggregation import (
     tree_broadcast,
 )
 from .bfs import BfsProgram, BfsTree, build_bfs_tree
-from .coloring import (
-    cole_vishkin_3coloring,
-    is_proper_coloring,
-    log_star,
-    mis_from_coloring,
-)
 from .leader import MaxIdFloodProgram, elect_leader
 from .splitter import SplitterWalkProgram, find_splitter, splitter_components
 from .subtree import SubtreeStats, compute_subtree_stats
@@ -32,8 +26,4 @@ __all__ = [
     "find_splitter",
     "splitter_components",
     "SplitterWalkProgram",
-    "cole_vishkin_3coloring",
-    "mis_from_coloring",
-    "is_proper_coloring",
-    "log_star",
 ]

@@ -1,14 +1,8 @@
-"""Exact pipelined communication cost formulas."""
+"""The exact pipelined communication cost formula."""
 
 import pytest
 
-from repro.congest import (
-    aggregate_rounds,
-    broadcast_rounds,
-    convergecast_rounds,
-    gather_scatter_rounds,
-    stream_rounds,
-)
+from repro.congest import stream_rounds
 
 
 class TestStream:
@@ -33,21 +27,3 @@ class TestStream:
         with pytest.raises(ValueError):
             stream_rounds(1, 1, bandwidth=0)
 
-
-def test_convergecast_equals_stream():
-    assert convergecast_rounds(7, 20) == stream_rounds(7, 20)
-
-
-def test_broadcast_equals_stream():
-    assert broadcast_rounds(7, 20) == stream_rounds(7, 20)
-
-
-def test_aggregate_up_down():
-    assert aggregate_rounds(6) == 12
-    assert aggregate_rounds(6, repetitions=3) == 36
-    with pytest.raises(ValueError):
-        aggregate_rounds(-1)
-
-
-def test_gather_scatter_sum():
-    assert gather_scatter_rounds(4, 10, 6) == stream_rounds(4, 10) + stream_rounds(4, 6)

@@ -3,8 +3,8 @@
 from repro.congest import RoundMetrics
 from repro.core.merges import (
     MergeResult,
+    charge_merge_stage,
     charge_path_coordinated_merge,
-    charge_vertex_coordinated_merge,
     vertex_coordinated_rounds,
 )
 from repro.core.parts import fresh_part
@@ -46,10 +46,29 @@ class TestVertexCoordinated:
     def test_charge_records_phase_and_words(self):
         m = RoundMetrics()
         r = synthetic_result({1: 2}, {1: 3}, {1: 3}, {1: 1})
-        rounds = charge_vertex_coordinated_merge(m, r, detail="unit")
+        rounds = charge_merge_stage(m, [r], "merge:vertex", detail="unit")
         assert m.phase_rounds["merge:vertex"] == rounds
         assert m.total_words == 6
         assert m.charges[0].detail == "unit"
+
+
+class TestMergeStage:
+    def test_stage_costs_its_slowest_merge_and_all_words(self):
+        # Parallel merges touch disjoint parts: the stage takes the
+        # slowest merge's rounds and ships every merge's words.
+        slow = synthetic_result({1: 10}, {1: 5}, {1: 5}, {1: 1})
+        fast = synthetic_result({2: 1}, {2: 2}, {2: 3}, {2: 1})
+        m = RoundMetrics()
+        rounds = charge_merge_stage(m, [fast, slow], "merge:star", detail="two")
+        assert rounds == vertex_coordinated_rounds(slow) > vertex_coordinated_rounds(fast)
+        assert [(c.phase, c.rounds, c.words, c.detail) for c in m.charges] == [
+            ("merge:star", rounds, 5 + 5 + 2 + 3, "two")
+        ]
+
+    def test_empty_stage_charges_nothing(self):
+        m = RoundMetrics()
+        assert charge_merge_stage(m, [], "merge:vertex", detail="none") == 0
+        assert m.charges == [] and m.rounds == 0
 
 
 class TestPathCoordinated:

@@ -35,7 +35,7 @@ from hypothesis import strategies as st
 import repro.core.merges as merges_module
 from repro import distributed_planar_embedding
 from repro.core import RealizationError, cyclic_equal, fresh_part, realize_boundary_order
-from repro.planar import Graph, articulation_points, biconnected_components
+from repro.planar import Graph, biconnected_components
 from repro.planar.generators import (
     grid_graph,
     k4_subdivision,
@@ -94,7 +94,7 @@ def random_part(rng):
 def stub_free_branches(part, root):
     """(cut vertex c, a component of the part minus c without stubs or root)."""
     carriers = {u for u, _ in part.boundary} | {root}
-    for c in articulation_points(part.graph):
+    for c in biconnected_components(part.graph).cut_vertices():
         rest = part.graph.subgraph(set(part.graph.nodes()) - {c})
         for component in rest.connected_components():
             if not component & carriers:

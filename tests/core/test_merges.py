@@ -5,9 +5,8 @@ import pytest
 from repro.congest import RoundMetrics
 from repro.core import (
     NonPlanarNetworkError,
-    charge_pairwise_merge,
+    charge_merge_stage,
     charge_path_coordinated_merge,
-    charge_star_merge,
     fresh_part,
     merge_parts,
 )
@@ -109,17 +108,23 @@ class TestChargers:
         return merge_parts(parts)
 
     def test_pairwise_charge(self):
+        # One pairwise merge is a stage of one, charged under the caller's phase.
         m = RoundMetrics()
         result = self.make_result()
-        rounds = charge_pairwise_merge(m, result)
+        rounds = charge_merge_stage(m, [result], "merge:pairwise")
         assert rounds > 0
         assert m.rounds == rounds
         assert "merge:pairwise" in m.phase_rounds
 
     def test_star_charge(self):
+        # A stage of one real merge, as the V-star and chain stages charge it.
         m = RoundMetrics()
-        rounds = charge_star_merge(m, self.make_result())
+        result = self.make_result()
+        rounds = charge_merge_stage(m, [result], "merge:star")
+        assert rounds > 0
+        assert m.rounds == rounds
         assert m.phase_rounds["merge:star"] == rounds
+        assert m.total_words == result.total_up + result.total_down
 
     def test_path_charge_scales_with_path(self):
         result = self.make_result()
@@ -137,8 +142,8 @@ class TestChargers:
     def test_bandwidth_reduces_rounds(self):
         result = self.make_result()
         m1, m2 = RoundMetrics(), RoundMetrics()
-        r1 = charge_pairwise_merge(m1, result, bandwidth=1)
-        r8 = charge_pairwise_merge(m2, result, bandwidth=8)
+        r1 = charge_merge_stage(m1, [result], "merge:vertex", bandwidth=1)
+        r8 = charge_merge_stage(m2, [result], "merge:vertex", bandwidth=8)
         assert r8 <= r1
 
 

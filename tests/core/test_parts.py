@@ -70,7 +70,6 @@ class TestPartEmbedding:
         assert part.vertices == {0, 1, 2, 3}
         assert part.is_trivial  # paths are trees
         assert part.attachments() == [0, 3]
-        assert part.boundary_targets() == {50, 51}
 
     def test_nontrivial_part(self):
         part = fresh_part(cycle_graph(4), [])

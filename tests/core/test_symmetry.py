@@ -7,8 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import symmetry_break
-from repro.planar import Graph, is_outerplanar
+from repro.planar import Graph
 from repro.planar.generators import cycle_graph, path_graph, random_outerplanar, star_graph
+from tests.integration.generated import is_outerplanar
 
 
 def proper_greedy_coloring(g, offset=0):

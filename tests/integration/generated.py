@@ -49,6 +49,15 @@ def _is_planar(nxg: nx.Graph) -> bool:
     return nx.check_planarity(nxg)[0]
 
 
+def is_outerplanar(graph: Graph) -> bool:
+    """True iff ``graph`` is outerplanar: the graph plus one apex joined
+    to every vertex is planar (networkx's test, not the library's)."""
+    index = {v: i for i, v in enumerate(graph.nodes())}
+    nxg = nx.Graph((index[u], index[v]) for u, v in graph.edges())
+    nxg.add_edges_from((-1, i) for i in index.values())
+    return _is_planar(nxg)
+
+
 def _from_networkx(nxg: nx.Graph) -> Graph:
     return Graph(nodes=nxg.nodes(), edges=nxg.edges())
 

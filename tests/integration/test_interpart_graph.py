@@ -11,13 +11,13 @@ import pytest
 
 import repro.core.unrestricted as unrestricted_module
 from repro import distributed_planar_embedding
-from repro.planar import is_outerplanar
 from repro.planar.generators import (
     cylinder_graph,
     delaunay_triangulation,
     grid_graph,
     random_maximal_planar,
 )
+from tests.integration.generated import is_outerplanar
 
 
 @pytest.fixture

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.planar import is_outerplanar, is_planar
+from repro.planar import is_planar
 from repro.planar.generators import (
     caterpillar,
     complete_bipartite,
@@ -25,6 +25,7 @@ from repro.planar.generators import (
     triangulated_grid,
     wheel_graph,
 )
+from tests.integration.generated import is_outerplanar
 
 
 class TestBasicFamilies:

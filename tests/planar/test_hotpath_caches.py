@@ -5,9 +5,9 @@ nothing observable:
 
 * ``RotationSystem.trusted`` — skips permutation validation for orders
   that are permutations by construction;
-* the LR kernel's structural memo — verdicts and int-level rotations
-  keyed by the insertion-order adjacency structure, shared across
-  isomorphic relabelings.
+* the LR kernel's structural memo — int-level rotations keyed by the
+  insertion-order adjacency structure, shared across isomorphic
+  relabelings.  Decisions bypass it.
 """
 
 import importlib
@@ -19,6 +19,8 @@ from repro.planar.graph import Graph
 # The package __init__ rebinds the ``lr_planarity`` attribute to the
 # function of the same name; go through importlib for the module itself.
 lr_mod = importlib.import_module("repro.planar.lr_planarity")
+from repro.planar.generators import complete_bipartite, grid_graph
+from repro.planar.kuratowski import kuratowski_subgraph
 from repro.planar.lr_planarity import is_planar, lr_planarity
 from repro.planar.rotation import RotationSystem
 from repro.planar.verify import verify_planar_embedding
@@ -51,7 +53,6 @@ def test_trusted_does_not_validate_and_plain_constructor_does():
 
 
 def _fresh_lr_caches(monkeypatch):
-    monkeypatch.setattr(lr_mod, "_DECIDE_MEMO", {})
     monkeypatch.setattr(lr_mod, "_EMBED_MEMO", {})
 
 
@@ -107,9 +108,25 @@ def test_nonplanar_verdict_is_memoized_and_shared(monkeypatch):
     assert len(lr_mod._EMBED_MEMO) == 1
     assert lr_planarity(k5(["a", "b", "c", "d", "e"])) is None
     assert len(lr_mod._EMBED_MEMO) == 1
-    # is_planar consults the embed memo instead of re-deciding.
     assert is_planar(k5([10, 11, 12, 13, 14])) is False
-    assert lr_mod._DECIDE_MEMO == {next(iter(lr_mod._EMBED_MEMO)): False}
+
+
+def test_witness_search_leaves_the_memo_tables_alone():
+    # Every query of the Kuratowski search is a new structure (one edge
+    # removed, or re-added at the back of the adjacency), so a memo
+    # would only grow there: decisions are not memoized at all.
+    g = grid_graph(4, 4)
+    for u, v in complete_bipartite(3, 3).edges():
+        g.add_edge(100 + u, 100 + v)
+    g.add_edge(0, 100)
+    tables = {
+        name: value for name, value in vars(lr_mod).items()
+        if name.endswith("_MEMO") and isinstance(value, dict)
+    }
+    assert "_EMBED_MEMO" in tables
+    before = {name: dict(table) for name, table in tables.items()}
+    assert kuratowski_subgraph(g).num_edges == 9
+    assert {name: dict(table) for name, table in tables.items()} == before
 
 
 def test_different_insertion_orders_get_distinct_entries(monkeypatch):

@@ -1,6 +1,6 @@
 """Remaining generator families and their structural guarantees."""
 
-from repro.planar import is_outerplanar, is_planar
+from repro.planar import is_planar
 from repro.planar.generators import (
     binary_tree,
     random_outerplanar,
@@ -8,6 +8,7 @@ from repro.planar.generators import (
     subdivide,
     theta_graph,
 )
+from tests.integration.generated import is_outerplanar
 
 
 def test_binary_tree_shape():

@@ -99,15 +99,27 @@ def test_unknown_demo_family():
     assert exc.value.code == 2
 
 
+# Tokens that str.isdigit accepts but that are not ASCII integers: each
+# file mixes one with integer IDs on the given line.
+NON_ASCII_INT_FILES = {
+    "arabic-indic-digit": ("\u0663 4\n3 5\n4 5\n", 1),
+    "double-minus": ("0 1\n1 --2\n", 2),
+    "superscript-digit": ("0 1\n1 \u00b2\n", 2),
+}
+
+
 @pytest.mark.parametrize(
     "case",
-    ["missing-file", "mixed-ids", "non-integer-demo", "bad-trace", "empty", "disconnected"],
+    ["missing-file", "mixed-ids", "non-integer-demo", "bad-trace", "empty", "disconnected",
+     *NON_ASCII_INT_FILES],
 )
 def test_malformed_input_is_usage_error(case, tmp_path, capsys):
     """Exit 1 means "not planar"; input the CLI cannot read exits 2."""
     f = tmp_path / "input.txt"
     if case == "mixed-ids":
         f.write_text("a 1\n1 2\n2 a\n")
+    elif case in NON_ASCII_INT_FILES:
+        f.write_text(NON_ASCII_INT_FILES[case][0], encoding="utf-8")
     elif case == "bad-trace":
         f.write_text("this is not a trace\n")
     elif case == "empty":
@@ -121,11 +133,16 @@ def test_malformed_input_is_usage_error(case, tmp_path, capsys):
         "disconnected": [str(f)],
         "non-integer-demo": ["--demo", "grid", "x", "3"],
         "bad-trace": ["--view-trace", str(f)],
+        **{name: [str(f)] for name in NON_ASCII_INT_FILES},
     }[case]
     with pytest.raises(SystemExit) as exc:
         main(argv)
     assert exc.value.code == 2
-    assert "error:" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "error:" in err
+    if case in NON_ASCII_INT_FILES:
+        line = NON_ASCII_INT_FILES[case][1]
+        assert f"{f}:{line}: node IDs mix integers and strings" in err
 
 
 def test_bandwidth_flag(capsys):

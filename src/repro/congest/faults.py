@@ -53,7 +53,7 @@ from __future__ import annotations
 
 import zlib
 from contextlib import contextmanager
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Any, Iterator
 
 from .errors import FaultSpecError, MessageCorruptionError

@@ -67,10 +67,7 @@ def is_copy(node: NodeId) -> bool:
 
 
 def _add_part(graph: Graph, part: PartEmbedding, bundle_edges: list[tuple]) -> None:
-    for v in part.graph.nodes():
-        graph.add_node(v)
-    for u, v in part.graph.edges():
-        graph.add_edge(u, v)
+    graph.add_graph(part.graph)
     for u, x in bundle_edges:
         graph.add_edge(u, x)
 

@@ -91,19 +91,20 @@ class MergeResult:
 def _union_graph_and_boundary(
     parts: list[PartEmbedding],
 ) -> tuple[Graph, list[HalfEdge], list[tuple[NodeId, NodeId]], dict]:
-    """The merged graph, its external boundary, connecting edges and owners."""
+    """The merged graph, its external boundary, connecting edges and owners.
+
+    The union's adjacency order (:meth:`Graph.add_graph`, then the
+    connecting edges) feeds the LR kernel of a later ``fresh_part``.
+    """
     owner: dict[NodeId, int] = {}
     for p in parts:
-        for v in p.graph.nodes():
+        for v in p.graph._adj:
             if v in owner:
                 raise ValueError(f"parts are not disjoint at {v!r}")
             owner[v] = p.part_id
     union = Graph()
     for p in parts:
-        for v in p.graph.nodes():
-            union.add_node(v)
-        for u, v in p.graph.edges():
-            union.add_edge(u, v)
+        union.add_graph(p.graph)
     connecting: list[tuple[NodeId, NodeId]] = []
     seen: set[tuple] = set()
     new_boundary: list[HalfEdge] = []
@@ -280,10 +281,7 @@ def _skeleton_merge(
     # The coordinator's instance: skeleton union + connecting edges + rest.
     instance = Graph()
     for sk in skeletons.values():
-        for v in sk.graph.nodes():
-            instance.add_node(v)
-        for u, v in sk.graph.edges():
-            instance.add_edge(u, v)
+        instance.add_graph(sk.graph)
     for u, x in connecting:
         instance.add_edge(u, x)
     external_attachments = sorted({u for u, _ in new_boundary}, key=repr)
@@ -312,7 +310,7 @@ def _skeleton_merge(
     orders = []
     for p in parts:
         sk = skeletons[p.part_id]
-        walk = contracted_rotation(instance_rotation, set(sk.graph.nodes()))
+        walk = contracted_rotation(instance_rotation, set(sk.graph._adj))
         prescribed: list[HalfEdge] = []
         for a, b in walk:
             if b == _REST:
@@ -332,14 +330,16 @@ def _skeleton_merge(
         # attachment vertices hold stubs: there the stubs of connecting
         # edges resolve into real neighbours, and external ones stay.  The
         # realized rings are trusted; a resolved one must be a permutation.
-        for v in p.graph:
-            merged_order[v] = realized.order(v)
+        rings = realized._order
+        for v in p.graph._adj:
+            merged_order[v] = rings[v]
         resolve = {
             stub_node(h): h[1] for h in p.boundary if frozenset(h) in connecting_keys
         }
         for u in {s[1] for s in resolve}:
             ring = merged_order[u] = tuple(resolve.get(nb, nb) for nb in merged_order[u])
-            if len(ring) != augmented.degree(u) or set(ring) != set(augmented.neighbors(u)):
+            nbrs = augmented._adj[u]
+            if len(ring) != len(nbrs) or set(ring) != nbrs.keys():
                 raise EmbeddingViolation(f"merged ring at {u!r} is not a permutation")
     _check_glue(orders, owner)
     for h in new_boundary:

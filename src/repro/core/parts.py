@@ -146,20 +146,21 @@ def embed_with_boundary(graph: Graph, boundary: list[HalfEdge]) -> RotationSyste
 def graph_depth(graph: Graph, root: NodeId | None = None) -> int:
     """Eccentricity of ``root`` (default: first node) — the depth proxy
     used to charge part-internal upcast/downcast rounds."""
-    if graph.num_nodes == 0:
+    adj = graph._adj
+    if not adj:
         return 0
     if root is None:
-        root = graph.nodes()[0]
-    dist = {root: 0}
+        root = next(iter(adj))
+    seen = {root}
     frontier = [root]
-    ecc = 0
-    while frontier:
+    ecc = -1
+    while frontier:  # one BFS level per pass
+        ecc += 1
         nxt = []
         for v in frontier:
-            for u in graph.neighbors(v):
-                if u not in dist:
-                    dist[u] = dist[v] + 1
-                    ecc = max(ecc, dist[u])
+            for u in adj[v]:
+                if u not in seen:
+                    seen.add(u)
                     nxt.append(u)
         frontier = nxt
     return ecc
@@ -177,7 +178,7 @@ class PartEmbedding:
 
     @property
     def vertices(self) -> set[NodeId]:
-        return set(self.graph.nodes())
+        return set(self.graph._adj)
 
     @property
     def is_trivial(self) -> bool:

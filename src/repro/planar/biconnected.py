@@ -70,53 +70,55 @@ def biconnected_components(graph: Graph) -> BiconnectedDecomposition:
     """Decompose ``graph`` into biconnected components (blocks).
 
     Isolated vertices yield no blocks (they have no edges); every edge
-    belongs to exactly one block.  Runs iteratively in O(n + m).
+    belongs to exactly one block.  Runs iteratively in O(n + m), over the
+    graph's adjacency in place.
     """
+    adj = graph._adj
     decomposition = BiconnectedDecomposition(graph=graph)
-    decomposition.components_of = {v: [] for v in graph.nodes()}
+    components = decomposition.components
+    components_of = decomposition.components_of = {v: [] for v in adj}
+    component_by_id = decomposition.component_by_id
+    component_of_edge = decomposition.component_of_edge
 
-    visited: set[NodeId] = set()
-    depth: dict[NodeId, int] = {}
+    depth: dict[NodeId, int] = {}  # also the visited set
     low: dict[NodeId, int] = {}
     parent: dict[NodeId, NodeId | None] = {}
     edge_stack: list[tuple[NodeId, NodeId]] = []
 
+    def add(component: BiconnectedComponent) -> None:
+        cid = component.component_id
+        components.append(component)
+        component_by_id[cid] = component
+        for v in component.vertices:
+            components_of[v].append(cid)
+        for eid in component.edges:
+            component_of_edge[eid] = cid
+
     def flush_component(edges: list[tuple[NodeId, NodeId]]) -> None:
-        if not edges:
-            return
         eids = frozenset(edge_id(u, v) for u, v in edges)
         vertices = frozenset(v for e in edges for v in e)
         try:
             cid = min(eids)
         except TypeError:  # real and pseudo vertices
             cid = reduce(lambda a, b: b if precedes(b, a) else a, eids)
-        component = BiconnectedComponent(cid, eids, vertices)
-        decomposition.components.append(component)
-        decomposition.component_by_id[cid] = component
-        for v in vertices:
-            decomposition.components_of[v].append(cid)
-        for eid in eids:
-            decomposition.component_of_edge[eid] = cid
+        add(BiconnectedComponent(cid, eids, vertices))
 
-    for root in graph.nodes():
-        if root in visited:
+    for root in adj:
+        if root in depth:
             continue
-        visited.add(root)
         depth[root] = 0
         low[root] = 0
         parent[root] = None
-        stack: list[tuple[NodeId, iter]] = [(root, iter(graph.neighbors(root)))]
+        stack: list[tuple[NodeId, iter]] = [(root, iter(adj[root]))]
         while stack:
             v, it = stack[-1]
             advanced = False
             for w in it:
-                if w not in visited:
+                if w not in depth:
                     parent[w] = v
-                    visited.add(w)
-                    depth[w] = depth[v] + 1
-                    low[w] = depth[w]
+                    depth[w] = low[w] = depth[v] + 1
                     edge_stack.append((v, w))
-                    stack.append((w, iter(graph.neighbors(w))))
+                    stack.append((w, iter(adj[w])))
                     advanced = True
                     break
                 if w != parent[v] and depth[w] < depth[v]:
@@ -133,6 +135,11 @@ def biconnected_components(graph: Graph) -> BiconnectedDecomposition:
             if low[v] >= depth[u]:
                 # u separates v's subtree: everything pushed after (u, v)
                 # is one block, ended by (u, v) itself.
+                if edge_stack[-1] == (u, v):  # a bridge
+                    edge_stack.pop()
+                    cid = edge_id(u, v)
+                    add(BiconnectedComponent(cid, frozenset((cid,)), frozenset((u, v))))
+                    continue
                 component_edges: list[tuple[NodeId, NodeId]] = []
                 while True:
                     e = edge_stack.pop()
@@ -141,9 +148,10 @@ def biconnected_components(graph: Graph) -> BiconnectedDecomposition:
                         break
                 flush_component(component_edges)
 
-    # Deterministic order, and deterministic per-vertex membership lists.
-    decomposition.components.sort(key=lambda c: repr(c.component_id))
-    for v in decomposition.components_of:
-        decomposition.components_of[v].sort(key=repr)
+    # Deterministic order, and deterministic per-vertex membership lists
+    # (a vertex in one block has nothing to sort).
+    components.sort(key=lambda c: repr(c.component_id))
+    for blocks in components_of.values():
+        if len(blocks) > 1:
+            blocks.sort(key=repr)
     return decomposition
-

@@ -65,6 +65,13 @@ def edge_id(u: NodeId, v: NodeId) -> EdgeId:
     """
     if u == v:
         raise GraphError(f"self-loops are not allowed: {u!r}")
+    cu, cv = u.__class__, v.__class__
+    if cu is not cv:
+        # A rank and a pseudo-vertex: never comparable, the tuple first.
+        if cu is tuple and cv is int:
+            return (u, v)
+        if cu is int and cv is tuple:
+            return (v, u)
     try:
         return (u, v) if u < v else (v, u)
     except TypeError:
@@ -86,9 +93,7 @@ class Graph:
         nodes: Iterable[NodeId] = (),
         edges: Iterable[tuple[NodeId, NodeId]] = (),
     ) -> None:
-        self._adj: dict[NodeId, dict[NodeId, None]] = {}
-        for node in nodes:
-            self.add_node(node)
+        self._adj: dict[NodeId, dict[NodeId, None]] = {node: {} for node in nodes}
         for u, v in edges:
             self.add_edge(u, v)
 
@@ -106,10 +111,28 @@ class Graph:
         """
         if u == v:
             raise GraphError(f"self-loops are not allowed: {u!r}")
-        self.add_node(u)
-        self.add_node(v)
-        self._adj[u][v] = None
-        self._adj[v][u] = None
+        adj = self._adj
+        adj.setdefault(u, {})[v] = None
+        adj.setdefault(v, {})[u] = None
+
+    def add_graph(self, other: "Graph") -> None:
+        """Add ``other``'s nodes, then its edges in :meth:`edges` order.
+
+        The adjacency comes out as adding them one by one would give it,
+        without an edge ID per edge: at each vertex of ``other``, its
+        neighbours there listed earlier in node order first, then its
+        later ones in its own order.
+        """
+        adj = self._adj
+        for v in other._adj:
+            if v not in adj:
+                adj[v] = {}
+        for u, nbrs in other._adj.items():
+            nu = adj[u]
+            for v in nbrs:
+                if v not in nu:  # else present, or added from v, earlier
+                    nu[v] = None
+                    adj[v][u] = None
 
     def remove_edge(self, u: NodeId, v: NodeId) -> None:
         """Remove the edge ``{u, v}``; raise :class:`GraphError` if absent."""

@@ -27,6 +27,15 @@ class RotationError(ValueError):
     """Raised when a rotation system is inconsistent with its graph."""
 
 
+# A face walk asks each vertex for a neighbour's position once per
+# neighbour.  Rings of at most this many neighbours are searched with
+# ``tuple.index``; a longer ring gets a position map, built on its first
+# query, so a star centre or a wheel hub stays linear.  A scan beats
+# building the map below about 10 neighbours for tuple rings and 14 for
+# int rings (EXPERIMENTS E39).
+_SCAN_MAX = 8
+
+
 class RotationSystem:
     """A cyclic order of incident edges at every vertex of a graph.
 
@@ -40,10 +49,10 @@ class RotationSystem:
     def __init__(self, graph: Graph, order: Mapping[NodeId, Sequence[NodeId]]) -> None:
         self.graph = graph
         self._order: dict[NodeId, tuple[NodeId, ...]] = {}
-        # Per-vertex neighbor->index maps, built lazily on the first
-        # next_after/prev_before query at that vertex: many rotation
-        # systems are constructed only to be merged or snapshotted and
-        # never traced.
+        # Per-vertex neighbor->index maps for rings longer than
+        # _SCAN_MAX, built lazily on the first query at that vertex: many
+        # rotation systems are constructed only to be merged or
+        # snapshotted and never traced, and short rings are scanned.
         self._position: dict[NodeId, dict[NodeId, int]] = {}
         adj = graph._adj
         _order = self._order
@@ -66,19 +75,21 @@ class RotationSystem:
 
     @classmethod
     def trusted(
-        cls, graph: Graph, order: Mapping[NodeId, Sequence[NodeId]]
+        cls, graph: Graph, order: dict[NodeId, tuple[NodeId, ...]]
     ) -> "RotationSystem":
         """Construct without permutation validation.
 
         For orders that are permutations of the neighbor sets *by
         construction* — the LR kernel's output, mirroring an existing
         rotation, filtering a vertex out of one — where re-validating
-        every ring is pure overhead.  ``order`` must cover exactly the
-        graph's vertices and its values must be tuples.
+        every ring is pure overhead.  ``order`` must be a dict covering
+        exactly the graph's vertices, with tuple values.  The rotation
+        takes ownership of it, without a copy: the caller hands in a
+        fresh dict and does not change it afterwards.
         """
         self = cls.__new__(cls)
         self.graph = graph
-        self._order = dict(order)
+        self._order = order
         self._position = {}
         return self
 
@@ -92,23 +103,25 @@ class RotationSystem:
         """A plain-dict snapshot of all rotations."""
         return dict(self._order)
 
-    def _pos(self, v: NodeId) -> dict[NodeId, int]:
+    def _index(self, v: NodeId, u: NodeId) -> int:
+        """The position of ``u`` in the ring at ``v`` (see ``_SCAN_MAX``)."""
+        ring = self._order[v]
+        if len(ring) <= _SCAN_MAX:
+            return ring.index(u)
         pos = self._position.get(v)
         if pos is None:
-            pos = self._position[v] = {u: i for i, u in enumerate(self._order[v])}
-        return pos
+            pos = self._position[v] = {w: i for i, w in enumerate(ring)}
+        return pos[u]
 
     def next_after(self, v: NodeId, u: NodeId) -> NodeId:
         """The neighbor clockwise-after ``u`` around ``v``."""
         ring = self._order[v]
-        i = self._pos(v)[u]
-        return ring[(i + 1) % len(ring)]
+        return ring[(self._index(v, u) + 1) % len(ring)]
 
     def prev_before(self, v: NodeId, u: NodeId) -> NodeId:
         """The neighbor counter-clockwise-before ``u`` around ``v``."""
         ring = self._order[v]
-        i = self._pos(v)[u]
-        return ring[(i - 1) % len(ring)]
+        return ring[(self._index(v, u) - 1) % len(ring)]
 
     # -- face machinery ------------------------------------------------------
 
@@ -137,13 +150,14 @@ class RotationSystem:
         if not self.graph.has_edge(u, v):
             raise RotationError(f"no such edge: {u!r}-{v!r}")
         walk = [(u, v)]
-        order, pos = self._order, self._pos
+        order, index = self._order, self._index
         a, b = u, v
         while True:
             # Next dart of the face: arrive at b, leave along the edge
             # clockwise-after the reversal (b -> a).
             ring = order[b]
-            a, b = b, ring[(pos(b)[a] + 1) % len(ring)]
+            i = ring.index(a) if len(ring) <= _SCAN_MAX else index(b, a)
+            a, b = b, ring[(i + 1) % len(ring)]
             if a == u and b == v:
                 return walk
             walk.append((a, b))
@@ -177,8 +191,7 @@ def trace_faces(rotation: RotationSystem) -> list[list[tuple[NodeId, NodeId]]]:
         darts.append((v, u))
     visited: set[tuple[NodeId, NodeId]] = set()
     faces: list[list[tuple[NodeId, NodeId]]] = []
-    order = rotation._order
-    pos = rotation._pos
+    order, index = rotation._order, rotation._index
     for start in darts:  # deterministic: graph insertion order
         if start in visited:
             continue
@@ -188,7 +201,8 @@ def trace_faces(rotation: RotationSystem) -> list[list[tuple[NodeId, NodeId]]]:
         u, v = start
         while True:
             ring = order[v]
-            u, v = v, ring[(pos(v)[u] + 1) % len(ring)]
+            i = ring.index(u) if len(ring) <= _SCAN_MAX else index(v, u)
+            u, v = v, ring[(i + 1) % len(ring)]
             if (u, v) == start:
                 break
             walk.append((u, v))
@@ -265,11 +279,11 @@ def contracted_rotation(
     a connected subgraph; the result is empty when no edge leaves ``S``.
     """
     inside = set(nodes)
-    graph = rotation.graph
+    adj = rotation.graph._adj
     start = None
     total_out = 0
     for u in sorted(inside, key=repr):
-        for x in graph.neighbors(u):
+        for x in adj[u]:
             if x not in inside:
                 total_out += 1
                 if start is None:
@@ -278,14 +292,15 @@ def contracted_rotation(
         return []
     walk = [start]
     u, x = start
-    order = rotation._order
-    pos = rotation._pos
+    order, index = rotation._order, rotation._index
     while True:
         ring = order[u]
-        y = ring[(pos(u)[x] + 1) % len(ring)]
+        i = ring.index(x) if len(ring) <= _SCAN_MAX else index(u, x)
+        y = ring[(i + 1) % len(ring)]
         while y in inside:
             ring = order[y]
-            u, y = y, ring[(pos(y)[u] + 1) % len(ring)]
+            i = ring.index(u) if len(ring) <= _SCAN_MAX else index(y, u)
+            u, y = y, ring[(i + 1) % len(ring)]
         u, x = u, y
         if (u, x) == start:
             break

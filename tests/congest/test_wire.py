@@ -18,9 +18,7 @@ from repro.congest import (
     RoundMetrics,
     decode_payload,
     encode_payload,
-    fault_override,
     flip_bit,
-    run_program,
 )
 from repro.congest.node import NodeProgram
 from repro.planar import generators

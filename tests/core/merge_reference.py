@@ -1,4 +1,5 @@
-"""Test-local reference for merges: the gadget realizer and the second skeleton.
+"""Test-local reference for merges: the gadget realizer, the second
+skeleton and the edge-by-edge union.
 
 These are the functions the skeleton merge first used.  The realizer
 re-embeds the whole part plus a rim/hub gadget with the LR kernel on
@@ -8,6 +9,9 @@ applies block flips and cut-vertex permutations to the part's own
 rotation, and :mod:`repro.core.merges` counts the reduced words from the
 shared decomposition; ``test_merge_differential.py`` holds both to this
 reference: the same verdicts and walks, the same words, the same ledgers.
+:func:`union_graph_and_boundary` adds every part edge through its edge ID
+and ``add_edge``; ``tests/planar/test_kernel_differential.py`` holds the
+shipped union, which copies each part's adjacency, to it.
 """
 
 from __future__ import annotations
@@ -23,6 +27,7 @@ from repro.core.parts import (
     stub_node,
 )
 from repro.core.realize import RealizationError, cyclic_equal
+from repro.planar.graph import Graph
 from repro.planar.lr_planarity import NonPlanarGraphError, planar_embedding
 from repro.planar.rotation import RotationSystem
 
@@ -133,3 +138,33 @@ def _reduced_summary_words(
     )
     sk_edges = interface_skeleton(reduced, decomposition=decomposition).graph.num_edges
     return 2 * sk_edges + len(participating) + runs + 1
+
+
+def union_graph_and_boundary(parts: list[PartEmbedding]) -> tuple:
+    """The merged graph, its external boundary, connecting edges and owners."""
+    owner: dict = {}
+    for p in parts:
+        for v in p.graph.nodes():
+            if v in owner:
+                raise ValueError(f"parts are not disjoint at {v!r}")
+            owner[v] = p.part_id
+    union = Graph()
+    for p in parts:
+        for v in p.graph.nodes():
+            union.add_node(v)
+        for u, v in p.graph.edges():
+            union.add_edge(u, v)
+    connecting: list = []
+    seen: set = set()
+    new_boundary: list[HalfEdge] = []
+    for p in parts:
+        for u, x in p.boundary:
+            if x in owner:
+                key = (u, x) if repr(u) < repr(x) else (x, u)
+                if key not in seen:
+                    seen.add(key)
+                    connecting.append(key)
+                    union.add_edge(u, x)
+            else:
+                new_boundary.append((u, x))
+    return union, new_boundary, connecting, owner

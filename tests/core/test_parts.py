@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core import NonPlanarNetworkError, PartEmbedding, PartitionState, fresh_part
+from repro.core import NonPlanarNetworkError, PartitionState, fresh_part
 from repro.core.parts import (
     augment_with_stubs,
     embed_with_boundary,

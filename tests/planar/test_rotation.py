@@ -10,7 +10,7 @@ from repro.planar import (
     euler_genus,
     trace_faces,
 )
-from repro.planar.generators import cycle_graph, grid_graph, path_graph
+from repro.planar.generators import cycle_graph, grid_graph, path_graph, star_graph, wheel_graph
 from repro.planar.lr_planarity import planar_embedding
 from repro.planar.rotation import rotation_from_positions
 
@@ -93,6 +93,28 @@ class TestFacesAndGenus:
         rot = triangle_rotation()
         with pytest.raises(RotationError):
             rot.face_of(0, 99)
+
+
+class TestHighDegreeWalks:
+    """A face walk scans short rings and maps long ones once, so a vertex
+    of high degree costs one position map, not one scan per arrival."""
+
+    def test_star_maps_only_its_centre(self):
+        rot = planar_embedding(star_graph(1000))
+        (face,) = trace_faces(rot)
+        assert len(face) == 2000
+        assert list(rot._position) == [0]
+        assert len(rot._position[0]) == 1000
+
+    def test_wheel_rim_faces_map_only_the_hub(self):
+        rim = 1000
+        rot = planar_embedding(wheel_graph(rim))
+        lengths = []
+        for i in range(1, rim + 1):  # both darts of every rim edge
+            j = 1 + i % rim
+            lengths += [len(rot.face_of(i, j)), len(rot.face_of(j, i))]
+        assert sorted(set(lengths)) == [3, rim]  # the triangles and the rim
+        assert list(rot._position) == [0]
 
 
 class TestGeometricRotation:
